@@ -2,13 +2,13 @@
 // against the epoll server while a closed-loop query load and a concurrent
 // ingestion writer run. The point of the reactor is that quiet sockets cost
 // one epoll registration, not a parked worker — so active-request latency
-// with 10k idle connections must stay close to the PR 5 worker-pool
-// baseline measured with no idle connections at all.
+// with 10k idle connections must stay close to the same server's latency
+// with no idle connections at all.
 //
 // Phases:
-//   A (optional, NETMARK_BENCH_REACTOR_COMPARE=1): threadpool baseline —
-//     closed-loop clients only, the old connection model.
-//   B: epoll — prime N idle keep-alive connections, run the same closed
+//   A (optional, NETMARK_BENCH_REACTOR_COMPARE=1): no-idle baseline — the
+//     epoll server with closed-loop clients only, zero idle connections.
+//   B: idle fan-in — prime N idle keep-alive connections, run the same closed
 //     loop plus the ingestion writer, then verify sampled idle connections
 //     still answer and the open_connections gauge saw them all.
 //
@@ -255,35 +255,36 @@ int main() {
   std::printf("%-28s %10s %12s %10s %10s %8s\n", "phase", "idle_conns",
               "ops/s", "p50_us", "p99_us", "errors");
 
+  // Both phases serve with the same options. Idle connections must survive
+  // the whole run, and priming counts one request per connection — neither
+  // may trigger reap or rotation.
+  NetmarkOptions options;
+  options.http_server.idle_timeout_ms = 600000;
+  options.http_server.max_requests_per_connection = 1 << 30;
+
   double baseline_p50 = 0;
   if (compare) {
-    // Phase A: the PR 5 worker-per-connection model, no idle connections —
-    // the latency bar the reactor must stay within 25% of.
-    NetmarkOptions options;
-    options.http_server.reactor = server::ReactorModel::kThreadPool;
+    // Phase A: the same epoll server with zero idle connections — the
+    // latency bar the idle fan-in run must stay within MAX_RATIO of, so the
+    // ratio is exactly the cost of the idle fleet.
     bench::LoadedInstance base =
         bench::MakeLoadedInstance(kCorpusSize, options, 2025 + seed);
-    bench::Check(base.nm->StartServer(0), "start threadpool server");
+    bench::Check(base.nm->StartServer(0), "start no-idle baseline server");
     auto docs = bench::Unwrap(base.nm->ListDocuments(), "list docs");
     std::vector<int64_t> doc_ids;
     for (const auto& doc : docs) doc_ids.push_back(doc.doc_id);
     RunResult r = RunActiveLoad(base.nm.get(), clients, seconds, doc_ids);
     baseline_p50 = r.p50_us;
     std::printf("%-28s %10d %12.0f %10.0f %10.0f %8llu\n",
-                "threadpool-baseline", 0, r.ops_per_sec, r.p50_us, r.p99_us,
+                "epoll-no-idle-baseline", 0, r.ops_per_sec, r.p50_us, r.p99_us,
                 static_cast<unsigned long long>(r.failures));
-    jsonl.Emit("threadpool_baseline_p50", static_cast<double>(clients),
+    jsonl.Emit("no_idle_baseline_p50", static_cast<double>(clients),
                r.p50_us * 1000.0, r.ops_per_sec, "ops/s");
     base.nm->StopServer();
   }
 
-  // Phase B: epoll reactor with `conns` primed idle keep-alive connections.
-  NetmarkOptions options;
-  options.http_server.reactor = server::ReactorModel::kEpoll;
-  // Idle connections must survive the whole run, and priming counts one
-  // request per connection — neither may trigger reap or rotation.
-  options.http_server.idle_timeout_ms = 600000;
-  options.http_server.max_requests_per_connection = 1 << 30;
+  // Phase B: the epoll server with `conns` primed idle keep-alive
+  // connections.
   bench::LoadedInstance inst =
       bench::MakeLoadedInstance(kCorpusSize, options, 2025 + seed);
   bench::Check(inst.nm->StartServer(0), "start epoll server");
@@ -376,12 +377,13 @@ int main() {
   }
   if (compare && max_ratio > 0 && baseline_p50 > 0 &&
       r.p50_us > baseline_p50 * max_ratio) {
-    std::printf("FAIL: epoll p50 %.0fus exceeds %.2fx threadpool baseline "
+    std::printf("FAIL: idle fan-in p50 %.0fus exceeds %.2fx no-idle baseline "
                 "%.0fus\n",
                 r.p50_us, max_ratio, baseline_p50);
     ok = false;
   } else if (compare && baseline_p50 > 0) {
-    std::printf("epoll p50 / threadpool p50 = %.2f\n", r.p50_us / baseline_p50);
+    std::printf("idle fan-in p50 / no-idle p50 = %.2f\n",
+                r.p50_us / baseline_p50);
   }
 
   inst.nm->StopServer();  // drain retires the idle fleet server-side

@@ -53,8 +53,7 @@ netmark::Status EpollReactor::Init() {
     return netmark::Status::IOError(std::string("eventfd: ") +
                                     std::strerror(errno));
   }
-  // The reactor must never block in accept(); the threadpool path keeps the
-  // listener blocking, so flip it here rather than in HttpServer::Start.
+  // The reactor must never block in accept().
   int flags = ::fcntl(server_->listen_fd_, F_GETFL, 0);
   if (flags < 0 ||
       ::fcntl(server_->listen_fd_, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -206,7 +205,7 @@ void EpollReactor::OnConnEvent(int fd, int64_t now) {
   }
   if (!conn.message_started && !conn.buffer.empty()) {
     // First byte of a request: the (fresher) read deadline takes over from
-    // the idle deadline, exactly as the threadpool read loop does.
+    // the idle deadline.
     conn.message_started = true;
     conn.read_deadline =
         now + int64_t{server_->options_.read_timeout_ms} * 1000;

@@ -30,9 +30,7 @@ struct HttpRequest {
   // Serving-path timings stamped by HttpServer (not part of the wire
   // format); the service renders them as trace spans. Both are rounded up
   // to 1us so a measured-but-fast stage still shows in the span tree.
-  int64_t queue_wait_micros = 0;  ///< handoff-queue wait (epoll reactor:
-                                  ///< every request; threadpool: first
-                                  ///< request on a connection, reuse = 0)
+  int64_t queue_wait_micros = 0;  ///< handoff-queue wait of this request
   int64_t parse_micros = 0;       ///< head + body parse time
 
   std::string_view Header(const std::string& name) const {

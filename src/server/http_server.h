@@ -1,22 +1,15 @@
-// HTTP/1.1 server over POSIX sockets with two connection models behind one
-// class:
+// HTTP/1.1 server over POSIX sockets: a single reactor thread owns every
+// socket through an epoll set (level-triggered, EPOLLONESHOT re-arm): it
+// accepts, reads, and incrementally frames requests as bytes arrive, handing
+// only *fully parsed* requests to a bounded worker queue. Idle keep-alive
+// connections cost one epoll registration and a buffer, not a parked worker,
+// so tens of thousands of quiet clients coexist with a small pool. See
+// src/server/epoll_reactor.h for the state machine.
 //
-// * `reactor=epoll` (default) — a single reactor thread owns every socket
-//   through an epoll set (level-triggered, EPOLLONESHOT re-arm): it accepts,
-//   reads, and incrementally frames requests as bytes arrive, handing only
-//   *fully parsed* requests to the bounded worker queue. Idle keep-alive
-//   connections cost one epoll registration and a buffer, not a parked
-//   worker, so tens of thousands of quiet clients coexist with a small pool.
-//   See src/server/epoll_reactor.h for the state machine.
-// * `reactor=threadpool` (legacy, selectable for one release) — the PR 5
-//   model: an accept thread pushes whole connections into a bounded queue
-//   and each pool worker serves one connection start-to-close.
-//
-// Both models share the framing code (CompleteMessageBytes), the worker
-// pool, and every externally observable behavior: 503 shedding with
-// Retry-After when the queue is full, 408 on mid-request stalls, quiet idle
-// reaps, `max_requests_per_connection` rotation, pipelined-buffer carryover,
-// and graceful drain (Stop() finishes queued/in-flight requests with
+// Externally observable behavior: 503 shedding with Retry-After when the
+// queue is full, 408 on mid-request stalls, quiet idle reaps,
+// `max_requests_per_connection` rotation, pipelined-buffer carryover, and
+// graceful drain (Stop() finishes queued/in-flight requests with
 // Connection: close under a clamped grace window).
 //
 // The tier stays lean — NETMARK's thesis — but the front door multiplexes
@@ -31,7 +24,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -48,20 +40,6 @@ class EpollReactor;
 /// pool invokes it from `worker_threads` threads concurrently.
 using Handler = std::function<HttpResponse(const HttpRequest&)>;
 
-/// Connection model (the `[server] reactor=` INI knob).
-enum class ReactorModel {
-  /// Readiness-driven: one reactor thread multiplexes all sockets, workers
-  /// only ever run fully framed requests.
-  kEpoll,
-  /// Legacy worker-per-connection model (PR 5); kept selectable for one
-  /// release as a rollback path, then slated for removal.
-  kThreadPool,
-};
-
-/// Parses "epoll" / "threadpool" (the `[server] reactor=` values).
-netmark::Result<ReactorModel> ParseReactorModel(std::string_view text);
-std::string_view ReactorModelName(ReactorModel model);
-
 /// Largest accepted request message (head + body).
 inline constexpr size_t kMaxHttpMessageBytes = 64 * 1024 * 1024;
 /// Once draining, any in-progress read gets at most this much longer.
@@ -70,14 +48,10 @@ inline constexpr int64_t kDrainGraceMicros = 200 * 1000;
 /// Serving knobs. The defaults suit loopback tests; a production front end
 /// would raise the pool and queue sizes.
 struct HttpServerOptions {
-  /// Connection model; kThreadPool restores the PR 5 worker-per-connection
-  /// behavior (one release of rollback headroom).
-  ReactorModel reactor = ReactorModel::kEpoll;
   /// Pool workers executing requests (>= 1).
   int worker_threads = 4;
-  /// Bounded handoff queue feeding the pool before 503 shedding kicks in.
-  /// Under `epoll` it holds fully framed requests; under `threadpool` it
-  /// holds accepted connections.
+  /// Bounded queue of fully framed requests feeding the pool before 503
+  /// shedding kicks in.
   size_t accept_queue_capacity = 64;
   /// Keep-alive requests served per connection before the server closes it
   /// (bounds per-client resource capture; 0 = one request, Connection:
@@ -88,12 +62,12 @@ struct HttpServerOptions {
   int idle_timeout_ms = 5000;
   /// Budget for reading one request once its first byte arrived (ms); on
   /// expiry the connection is closed and netmark_http_read_timeouts_total
-  /// bumps — a stalled client costs one epoll registration (or one worker,
-  /// under threadpool) at most this long. Also bounds response writes.
+  /// bumps — a stalled client costs one epoll registration at most this
+  /// long. Also bounds response writes.
   int read_timeout_ms = 5000;
 };
 
-/// \brief Loopback HTTP server: epoll reactor or legacy worker pool.
+/// \brief Loopback HTTP server: epoll reactor feeding a worker pool.
 class HttpServer {
  public:
   explicit HttpServer(Handler handler, HttpServerOptions options = {});
@@ -101,8 +75,8 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Binds 127.0.0.1:`port` (0 = ephemeral) and starts the reactor (or
-  /// accept) thread plus the worker pool.
+  /// Binds 127.0.0.1:`port` (0 = ephemeral) and starts the reactor thread
+  /// plus the worker pool.
   netmark::Status Start(uint16_t port = 0);
   /// Graceful drain: stops accepting, serves already-queued requests, lets
   /// in-flight requests finish (half-read requests get a clamped grace
@@ -126,26 +100,18 @@ class HttpServer {
   uint64_t accept_errors() const { return accept_errors_.load(); }
   uint64_t read_timeouts() const { return read_timeouts_.load(); }
   uint64_t keepalive_reuses() const { return keepalive_reuses_.load(); }
-  /// Connections with a request currently queued or executing (threadpool:
-  /// connections held by a worker).
+  /// Connections with a request currently executing on a worker.
   int64_t active_connections() const { return active_connections_.load(); }
-  /// Sockets the server currently holds open (epoll: every registered
-  /// connection, idle ones included; threadpool: queued + served).
+  /// Sockets the server currently holds open: every registered connection,
+  /// idle ones included.
   int64_t open_connections() const { return open_connections_.load(); }
-  /// epoll_wait returns on the reactor thread (0 under threadpool).
+  /// epoll_wait returns on the reactor thread.
   uint64_t epoll_wakeups() const { return epoll_wakeups_.load(); }
 
  private:
   friend class EpollReactor;
 
-  /// One accepted connection queued for a worker (threadpool model); the
-  /// accept timestamp feeds the queue_wait trace span.
-  struct QueuedConn {
-    int fd = -1;
-    int64_t accepted_micros = 0;
-  };
-
-  /// One fully framed request queued for a worker (epoll model). The
+  /// One fully framed request queued for a worker. The
   /// reactor owns the connection; the worker only parses, runs the handler,
   /// and writes the response on `fd` before posting a Completion back.
   struct FramedRequest {
@@ -163,13 +129,6 @@ class HttpServer {
     bool keep = false;  ///< re-arm for the next request vs close
   };
 
-  // Threadpool (legacy) model.
-  void AcceptLoop();
-  void WorkerLoop();
-  /// Serves one connection's keep-alive request loop, then closes it.
-  void ServeConnection(int fd, int64_t queue_wait_micros);
-
-  // Epoll reactor model.
   void ReactorWorkerLoop();
   /// Parses + executes one framed request and writes the response; returns
   /// whether the connection should be kept for the next request.
@@ -199,10 +158,9 @@ class HttpServer {
   /// callbacks (the queue object is recreated per Start).
   std::atomic<int64_t> queue_depth_{0};
 
-  std::unique_ptr<WorkQueue<QueuedConn>> queue_;          // threadpool model
-  std::unique_ptr<WorkQueue<FramedRequest>> request_queue_;  // epoll model
+  std::unique_ptr<WorkQueue<FramedRequest>> request_queue_;
   std::unique_ptr<EpollReactor> reactor_;
-  std::thread accept_thread_;  ///< accept loop or reactor loop, per model
+  std::thread reactor_thread_;
   std::vector<std::thread> workers_;
 
   /// Private fallback registry (BindMetrics re-homes onto the facade's).

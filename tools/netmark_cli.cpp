@@ -83,8 +83,8 @@ int Usage() {
                "trace_sample_rate 0..1, trace_store_capacity N,\n"
                "trace_slow_keep_ms N (docs/observability.md)\n"
                "serving knobs ([server] INI section via --config):\n"
-               "reactor epoll|threadpool, worker_threads N,\n"
-               "accept_queue_capacity N, max_requests_per_connection N,\n"
+               "worker_threads N, accept_queue_capacity N,\n"
+               "max_requests_per_connection N,\n"
                "idle_timeout_ms N, read_timeout_ms N (docs/serving.md)\n");
   return 2;
 }
@@ -220,19 +220,14 @@ Status ApplyObservabilityFlags(const Args& args, NetmarkOptions* options) {
   return Status::OK();
 }
 
-// Serving knobs ([server] INI section via --config): reactor
-// epoll|threadpool plus the pool/queue/timeout sizing. Resolved before Open
-// so StartServer (serve command, tests through the CLI) picks the
-// connection model up without extra plumbing (docs/serving.md).
+// Serving knobs ([server] INI section via --config): the pool/queue/timeout
+// sizing of the epoll server. Resolved before Open so StartServer (serve
+// command, tests through the CLI) picks them up without extra plumbing
+// (docs/serving.md).
 Status ApplyServerFlags(const Args& args, NetmarkOptions* options) {
   auto config_flag = args.flags.find("config");
   if (config_flag == args.flags.end()) return Status::OK();
   NETMARK_ASSIGN_OR_RETURN(Config config, Config::Load(config_flag->second));
-  auto reactor = config.Get("server", "reactor");
-  if (reactor.ok()) {
-    NETMARK_ASSIGN_OR_RETURN(options->http_server.reactor,
-                             server::ParseReactorModel(*reactor));
-  }
   server::HttpServerOptions& http = options->http_server;
   http.worker_threads = static_cast<int>(
       config.GetIntOr("server", "worker_threads", http.worker_threads));
@@ -395,14 +390,8 @@ int CmdServe(const Args& args) {
   }
   Status st = (*nm)->StartServer(port);
   if (!st.ok()) return Fail(st.ToString());
-  std::printf("NETMARK serving on http://127.0.0.1:%u  [reactor=%.*s]"
-              "  (Ctrl-C to stop)\n",
-              (*nm)->server_port(),
-              static_cast<int>(
-                  server::ReactorModelName((*nm)->http_server_options().reactor)
-                      .size()),
-              server::ReactorModelName((*nm)->http_server_options().reactor)
-                  .data());
+  std::printf("NETMARK serving on http://127.0.0.1:%u  (Ctrl-C to stop)\n",
+              (*nm)->server_port());
 
   static volatile std::sig_atomic_t stop_requested = 0;
   std::signal(SIGINT, [](int) { stop_requested = 1; });

@@ -114,6 +114,18 @@ netmark::Result<storage::Table*> ShreddingStore::EnsureTagTable(
 
 netmark::Result<int64_t> ShreddingStore::InsertDocument(
     const xml::Document& doc, const xmlstore::DocumentInfo& info) {
+  NETMARK_RETURN_NOT_OK(db_->BeginTransaction());
+  netmark::Result<int64_t> doc_id = ShredDocument(doc, info);
+  if (!doc_id.ok()) {
+    db_->AbandonTransaction();
+    return doc_id;
+  }
+  NETMARK_RETURN_NOT_OK(db_->CommitTransaction());
+  return doc_id;
+}
+
+netmark::Result<int64_t> ShreddingStore::ShredDocument(
+    const xml::Document& doc, const xmlstore::DocumentInfo& info) {
   xml::NodeId root = doc.DocumentElement();
   if (root == xml::kInvalidNode) {
     return netmark::Status::InvalidArgument("document has no root element");

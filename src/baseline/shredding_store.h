@@ -32,8 +32,9 @@ class ShreddingStore {
  public:
   static netmark::Result<std::unique_ptr<ShreddingStore>> Open(const std::string& dir);
 
-  /// Shreds a document. The document's *type* is its root element name; a
-  /// new type (or new tags within a known type) costs DDL.
+  /// Shreds a document in one committed transaction. The document's *type*
+  /// is its root element name; a new type (or new tags within a known type)
+  /// costs DDL.
   netmark::Result<int64_t> InsertDocument(const xml::Document& doc,
                                           const xmlstore::DocumentInfo& info);
 
@@ -52,6 +53,9 @@ class ShreddingStore {
   explicit ShreddingStore(std::unique_ptr<storage::Database> db)
       : db_(std::move(db)) {}
   netmark::Status EnsureCatalogTables();
+  /// InsertDocument's body, run inside the open transaction.
+  netmark::Result<int64_t> ShredDocument(const xml::Document& doc,
+                                         const xmlstore::DocumentInfo& info);
   /// Ensures `type`'s table for `tag` exists (DDL when missing).
   netmark::Result<storage::Table*> EnsureTagTable(const std::string& type,
                                                   const std::string& tag);

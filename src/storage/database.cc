@@ -150,7 +150,6 @@ void Database::MarkDegraded(const netmark::Status& cause) {
 
 netmark::Status Database::BeginTransaction() {
   if (degraded()) return DegradedError();
-  if (wal_ == nullptr) return netmark::Status::OK();
   if (in_txn_) {
     return netmark::Status::Internal("transaction already open");
   }
@@ -159,35 +158,44 @@ netmark::Status Database::BeginTransaction() {
 }
 
 netmark::Status Database::CommitTransaction() {
-  if (wal_ == nullptr) return degraded() ? DegradedError() : netmark::Status::OK();
   if (!in_txn_) {
     return netmark::Status::Internal("no transaction open");
   }
   in_txn_ = false;
-  uint64_t txn = next_txn_id_++;
-  for (auto& [name, table] : tables_) {
-    Pager* pager = table->mutable_pager();
-    for (PageId id : pager->TakeDirtySinceMark()) {
-      NETMARK_ASSIGN_OR_RETURN(Page page, pager->Fetch(id));
-      // Stamp before staging so recovery replays images whose CRC already
-      // matches their contents (Flush would stamp the same bytes again).
-      PageStampChecksum(page.raw());
-      wal_->StagePageImage(txn, name, id, page.raw());
+  if (wal_ == nullptr) {
+    // No log to stage on: the dirty marks only matter to the WAL.
+    for (auto& [name, table] : tables_) {
+      (void)table->mutable_pager()->TakeDirtySinceMark();
+    }
+  } else {
+    uint64_t txn = next_txn_id_++;
+    for (auto& [name, table] : tables_) {
+      Pager* pager = table->mutable_pager();
+      for (PageId id : pager->TakeDirtySinceMark()) {
+        NETMARK_ASSIGN_OR_RETURN(Page page, pager->Fetch(id));
+        // Stamp before staging so recovery replays images whose CRC already
+        // matches their contents (Flush would stamp the same bytes again).
+        PageStampChecksum(page.raw());
+        wal_->StagePageImage(txn, name, id, page.raw());
+      }
+    }
+    netmark::Status st = wal_->AppendCommit(txn);
+    if (!st.ok()) {
+      // The commit may or may not be on disk — nothing is acknowledged or
+      // published, and no further mutation can be either: go read-only.
+      MarkDegraded(st);
+      return st;
     }
   }
-  netmark::Status st = wal_->AppendCommit(txn);
-  if (!st.ok()) {
-    // The commit may or may not be on disk — nothing is acknowledged, and no
-    // further mutation can be either: go read-only.
-    MarkDegraded(st);
-  }
-  return st;
+  // Publish after the commit record: readers never see a transaction the
+  // log could still lose.
+  PublishVersions();
+  return netmark::Status::OK();
 }
 
 void Database::AbandonTransaction() {
-  if (wal_ == nullptr) return;
   in_txn_ = false;
-  wal_->DiscardStaged();
+  if (wal_ != nullptr) wal_->DiscardStaged();
   // Dirty-since-mark state intentionally survives: the abandoned pages hold
   // in-memory junk that must still be logged with the next commit, or a
   // later in-place write to those pages would be replayed over stale bytes.
@@ -226,12 +234,12 @@ netmark::Status Database::StagePendingAndUpgrades() {
   }
   if (staged == 0) return netmark::Status::OK();
   NETMARK_RETURN_NOT_OK(wal_->AppendCommit(txn));
-  // MVCC: the staged images included any unpublished working copies (junk
-  // from abandoned transactions). Publish them now so the flush below writes
+  // The staged images included any unpublished working copies (junk from
+  // abandoned transactions). Publish them now so the flush below writes
   // them under log coverage — otherwise their dirty-since-mark entry is
   // consumed here but the bytes would reach the heap only after a *later*
   // commit, without a staged image to replay over a torn write.
-  if (options_.mvcc_snapshots) PublishVersions();
+  PublishVersions();
   return netmark::Status::OK();
 }
 
@@ -280,6 +288,7 @@ Epoch Database::PublishVersions() {
     table->SealPendingRemovals(epoch);
   }
   commit_epoch_.store(epoch, std::memory_order_seq_cst);
+  if (reclaim_on_commit_) ReclaimVersions({epoch}, epoch);
   return epoch;
 }
 
@@ -319,6 +328,16 @@ netmark::Status Database::SyncWal() {
 
 netmark::Status Database::Flush() {
   if (wal_ != nullptr && !in_txn_) return Checkpoint();
+  if (!in_txn_) {
+    // Without a log this is where writes made outside a transaction (or
+    // left by an abandoned one) are published and persisted, as the
+    // checkpoint does with the log on.
+    bool pending = false;
+    for (auto& [name, table] : tables_) {
+      pending |= !table->mutable_pager()->TakeDirtySinceMark().empty();
+    }
+    if (pending) PublishVersions();
+  }
   for (auto& [name, table] : tables_) {
     NETMARK_RETURN_NOT_OK(table->Flush());
   }

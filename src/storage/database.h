@@ -10,6 +10,11 @@
 // atomic — commit stages every dirty page image on the log before any heap
 // write, Checkpoint() flushes + fsyncs the heap files and truncates the log,
 // and Open() replays committed log records automatically after a crash.
+//
+// Visibility (docs/mvcc.md): CommitTransaction publishes the transaction's
+// pages under the next commit epoch, WAL or not; until then readers see the
+// previous commit. Superseded page versions are reclaimed by the commit
+// itself unless a caller that pins snapshot epochs takes over version GC.
 
 #ifndef NETMARK_STORAGE_DATABASE_H_
 #define NETMARK_STORAGE_DATABASE_H_
@@ -54,10 +59,6 @@ struct StorageOptions {
   /// failed WAL/heap fsync instead of degrading to read-only (fail-stop for
   /// operators who prefer a supervisor restart over a limping store).
   bool abort_on_fsync_error = false;
-  /// MVCC page snapshots: epoch-versioned, copy-on-write pages so readers
-  /// never block the writer (docs/mvcc.md). Enabled by the XML store; plain
-  /// Database users keep the legacy single-buffer pager.
-  bool mvcc_snapshots = false;
   /// `[storage] mvcc_gc_interval_ms`: background version-GC cadence.
   /// Enforced by the XML store, which owns the GC thread.
   int mvcc_gc_interval_ms = 50;
@@ -96,17 +97,21 @@ class Database {
 
   std::vector<std::string> TableNames() const;
 
-  // --- Transactions (crash atomicity; no-ops when the WAL is disabled) ---
+  // --- Transactions ------------------------------------------------------
 
   /// Opens a commit scope. Mutations until CommitTransaction() become
-  /// durable atomically. Fails if a transaction is already open.
+  /// visible — and, with the WAL on, durable — atomically. Fails if a
+  /// transaction is already open.
   netmark::Status BeginTransaction();
-  /// Stages every page dirtied during the transaction on the log, appends a
-  /// commit record, and fsyncs per the configured policy.
+  /// With the WAL on, stages every page dirtied during the transaction on
+  /// the log, appends a commit record, and fsyncs per the configured policy.
+  /// Then publishes the transaction's pages under the next commit epoch
+  /// (nothing is published when the log write fails).
   netmark::Status CommitTransaction();
-  /// Abandons the open transaction: nothing reaches the log. In-memory
-  /// mutations are NOT rolled back (redo-only log); the abandoned rows are
-  /// unreferenced and will be logged with the next committed transaction.
+  /// Abandons the open transaction: nothing reaches the log or is
+  /// published. In-memory mutations are NOT rolled back (redo-only log); the
+  /// abandoned rows are unreferenced and will be logged and published with
+  /// the next committed transaction.
   void AbandonTransaction();
   bool in_transaction() const { return in_txn_; }
 
@@ -119,7 +124,7 @@ class Database {
   /// daemon calls this once per sweep).
   netmark::Status SyncWal();
 
-  // --- MVCC (active when StorageOptions::mvcc_snapshots is set) ----------
+  // --- MVCC ---------------------------------------------------------------
 
   /// Epoch of the latest published commit (0 = the state at Open, WAL
   /// recovery included). Lock-free; safe from any thread. seq_cst on
@@ -130,11 +135,12 @@ class Database {
     return commit_epoch_.load(std::memory_order_seq_cst);
   }
 
-  /// Commit publication: atomically publishes every table's dirty working
-  /// pages under the next epoch and seals queued index removals with it.
-  /// Call after a successful CommitTransaction (writer thread only).
-  /// Returns the new epoch.
-  Epoch PublishVersions();
+  /// Hands version GC to the caller: from now on commits keep superseded
+  /// page versions and sealed index removals until ReclaimVersions drops
+  /// them. The XML store calls this at open, because its readers pin
+  /// snapshot epochs. Without it, every commit reclaims everything it
+  /// superseded — a plain Database has no pinned readers to keep it for.
+  void TakeOverVersionGc() { reclaim_on_commit_ = false; }
 
   /// Version GC: drops page versions and applies sealed index removals that
   /// no pin in `pins` (sorted ascending, non-empty — it always contains the
@@ -193,7 +199,6 @@ class Database {
     PagerOptions po;
     po.env = options_.env;
     po.verify_checksums = options_.page_checksums;
-    po.mvcc = options_.mvcc_snapshots;
     po.mvcc_max_retained_versions =
         options_.mvcc_max_retained_versions > 0
             ? static_cast<size_t>(options_.mvcc_max_retained_versions)
@@ -203,6 +208,11 @@ class Database {
   /// Records the first failure that forces read-only mode (or aborts, per
   /// the on_fsync_error policy).
   void MarkDegraded(const netmark::Status& cause);
+  /// Commit publication: atomically publishes every table's dirty working
+  /// pages under the next epoch, seals queued index removals with it, and —
+  /// unless a caller took over version GC — reclaims what it superseded.
+  /// Writer thread only. Returns the new epoch.
+  Epoch PublishVersions();
   /// One-time v0→v1 page format upgrade pass + WAL staging of all pending
   /// dirty-since-mark images, run at the start of a checkpoint.
   netmark::Status StagePendingAndUpgrades();
@@ -220,6 +230,7 @@ class Database {
   uint64_t last_checkpoint_lsn_ = 0;
   uint64_t checkpoints_ = 0;
   bool upgrade_scan_done_ = false;
+  bool reclaim_on_commit_ = true;
   std::atomic<Epoch> commit_epoch_{0};
 
   std::atomic<bool> degraded_{false};

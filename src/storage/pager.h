@@ -18,18 +18,16 @@
 // scrubber/healthz report it. Read errors (EIO) do not quarantine: the
 // fault may be transient and the on-disk bytes may still be good.
 //
-// MVCC (docs/mvcc.md): with PagerOptions::mvcc the pager keeps, per page, a
-// list of immutable *published* versions tagged with the commit epoch that
-// produced them, plus at most one private *working* copy the single writer
-// mutates. Fetch() keeps its historical mutable semantics — it hands the
-// writer the working copy, lazily cloned from the latest published version
-// (copy-on-write) — while FetchAt(id, epoch) serves readers an immutable
-// version without blocking on the writer. Publish(epoch) moves every dirty
-// working copy into the published list under one short critical section;
-// Flush() then writes only published bytes, so WAL-before-heap ordering is
-// unchanged. ReclaimVersions() garbage-collects versions no pinned reader
-// can see. Without the option the pager behaves exactly as it always has
-// (single buffer per page, Flush writes it).
+// MVCC (docs/mvcc.md): the pager keeps, per page, a list of immutable
+// *published* versions tagged with the commit epoch that produced them, plus
+// at most one private *working* copy the single writer mutates. Fetch()
+// hands the writer the working copy, lazily cloned from the latest published
+// version (copy-on-write), while FetchAt(id, epoch) serves readers an
+// immutable version without blocking on the writer. Publish(epoch) moves
+// every dirty working copy into the published list under one short critical
+// section; Flush() writes only published bytes, so WAL-before-heap ordering
+// holds and an uncommitted write never reaches the file.
+// ReclaimVersions() garbage-collects versions no pinned reader can see.
 
 #ifndef NETMARK_STORAGE_PAGER_H_
 #define NETMARK_STORAGE_PAGER_H_
@@ -72,10 +70,7 @@ struct PagerOptions {
   /// Verify the CRC32C trailer on every read miss (v1 pages only). Stamping
   /// on flush is unconditional so the knob can be toggled freely.
   bool verify_checksums = true;
-  /// Run in MVCC mode: published page versions + copy-on-write writer
-  /// copies (see the class comment). Off = exact legacy behavior.
-  bool mvcc = false;
-  /// MVCC: bound on published versions kept per page (0 = unlimited). When
+  /// Bound on published versions kept per page (0 = unlimited). When
   /// the cap forces a drop, readers pinned before the surviving window get
   /// Status::SnapshotTooOld.
   size_t mvcc_max_retained_versions = 0;
@@ -104,8 +99,8 @@ class PageRef {
 /// Thread safety: Fetch()/FetchAt() may be called concurrently from many
 /// reader threads (the concurrent serving path); the internal mutex guards
 /// the version map and dirty bookkeeping. Returned buffers stay valid
-/// without the lock (legacy mode never evicts; MVCC mode hands out
-/// shared_ptr references). Mutators (Allocate / Fetch / MarkDirty / Flush /
+/// without the lock (entries are never evicted and PageRefs are shared_ptr
+/// references). Mutators (Allocate / Fetch / MarkDirty / Flush /
 /// Publish / TakeDirtySinceMark) are additionally serialized by the
 /// store-level writer lock, so they never race each other — but they do
 /// share the map with readers, hence the mutex.
@@ -119,22 +114,19 @@ class Pager {
   Pager(const Pager&) = delete;
   Pager& operator=(const Pager&) = delete;
 
-  bool mvcc_enabled() const { return mvcc_; }
-
   /// Number of pages in the file.
   PageId page_count() const { return page_count_.load(std::memory_order_acquire); }
 
-  /// Allocates a fresh, zero-initialized page and returns its id. In MVCC
-  /// mode the page starts as an unpublished working copy: readers pinned at
-  /// earlier epochs see NotFound for it (semantically an empty page) until
-  /// the allocating transaction publishes.
+  /// Allocates a fresh, zero-initialized page and returns its id. The page
+  /// starts as an unpublished working copy: readers see NotFound for it
+  /// (semantically an empty page) until the allocating transaction
+  /// publishes.
   netmark::Result<PageId> Allocate();
 
-  /// Fetches a page for *writing* (the single mutator thread). In legacy
-  /// mode this is the classic shared buffer, valid until the Pager dies. In
-  /// MVCC mode it returns the private working copy, lazily cloned from the
-  /// latest published version — readers never observe the returned bytes
-  /// until Publish(). Returns Status::DataLoss for a quarantined page.
+  /// Fetches a page for *writing* (the single mutator thread): the private
+  /// working copy, lazily cloned from the latest published version —
+  /// readers never observe the returned bytes until Publish(). Returns
+  /// Status::DataLoss for a quarantined page.
   netmark::Result<Page> Fetch(PageId id);
 
   /// Fetches an immutable version of a page for *reading*: the newest
@@ -147,10 +139,10 @@ class Pager {
   /// Marks a page dirty so the commit path stages it and Flush persists it.
   void MarkDirty(PageId id);
 
-  /// MVCC commit point: stamps every dirty working copy's checksum and
-  /// publishes it as the `epoch` version of its page, atomically with
-  /// respect to FetchAt. Clean working copies (fetched but never
-  /// MarkDirty'd) are discarded. No-op in legacy mode.
+  /// Commit point: stamps every dirty working copy's checksum and publishes
+  /// it as the `epoch` version of its page, atomically with respect to
+  /// FetchAt. Clean working copies (fetched but never MarkDirty'd) are
+  /// discarded.
   void Publish(Epoch epoch);
 
   /// Drops published versions no longer visible to any pin in `pins`
@@ -163,8 +155,8 @@ class Pager {
   uint64_t ReclaimVersions(const std::vector<Epoch>& pins, Epoch cap);
 
   /// Writes all dirty pages to disk, stamping each v1 page's CRC trailer
-  /// first. In MVCC mode only *published* bytes are written (working copies
-  /// are invisible to Flush), preserving WAL-before-heap ordering. Every
+  /// first. Only *published* bytes are written (working copies are
+  /// invisible to Flush), preserving WAL-before-heap ordering. Every
   /// page is attempted even after a failure; a page whose write fails stays
   /// dirty for the next Flush, and the first error is returned.
   netmark::Status Flush();
@@ -178,9 +170,9 @@ class Pager {
   std::vector<PageId> TakeDirtySinceMark();
 
   /// Upgrades every v0 page to the checksummed v1 format where possible
-  /// (see PageTryUpgradeV1), loading uncached pages from disk. In MVCC mode
-  /// the current published version is replaced by an upgraded clone under
-  /// the same epoch tag (in-flight PageRefs keep the old buffer alive).
+  /// (see PageTryUpgradeV1), loading uncached pages from disk. The current
+  /// published version is replaced by an upgraded clone under the same
+  /// epoch tag (in-flight PageRefs keep the old buffer alive).
   /// Returns the ids whose persistent image changed so the caller can stage
   /// them on the WAL before the next flush. Quarantined pages are skipped.
   netmark::Result<std::vector<PageId>> UpgradeAllV0();
@@ -203,20 +195,19 @@ class Pager {
     return pages_written_.load(std::memory_order_relaxed);
   }
 
-  /// Published page versions currently held in memory (MVCC gauge).
+  /// Published page versions currently held in memory (gauge).
   uint64_t retained_versions() const {
     return retained_versions_.load(std::memory_order_relaxed);
   }
-  /// Total versions dropped by GC or the retention cap (MVCC counter).
+  /// Total versions dropped by GC or the retention cap (counter).
   uint64_t versions_reclaimed() const {
     return versions_reclaimed_.load(std::memory_order_relaxed);
   }
 
  private:
-  /// One page's in-memory state. Legacy mode uses only `working` (the
-  /// classic cache buffer). MVCC mode: `versions` holds the immutable
-  /// published history (ascending epoch tags; the back is current) and
-  /// `working` the writer's private copy, if any.
+  /// One page's in-memory state: `versions` holds the immutable published
+  /// history (ascending epoch tags; the back is current) and `working` the
+  /// writer's private copy, if any.
   struct Entry {
     std::shared_ptr<uint8_t[]> working;
     std::vector<std::pair<Epoch, std::shared_ptr<uint8_t[]>>> versions;
@@ -234,7 +225,6 @@ class Pager {
         const PagerOptions& options)
       : file_(std::move(file)),
         verify_checksums_(options.verify_checksums),
-        mvcc_(options.mvcc),
         max_retained_versions_(options.mvcc_max_retained_versions),
         page_count_(page_count) {}
 
@@ -246,7 +236,6 @@ class Pager {
 
   std::unique_ptr<netmark::File> file_;
   bool verify_checksums_;
-  const bool mvcc_;
   const size_t max_retained_versions_;  // 0 = unlimited
   std::atomic<PageId> page_count_{0};
   /// Guards entries_/dirty_since_mark_/quarantined_ against concurrent

@@ -34,14 +34,6 @@ netmark::Status Table::IndexInsert(const Row& row, RowId id) {
   return netmark::Status::OK();
 }
 
-netmark::Status Table::IndexRemove(const Row& row, RowId id) {
-  std::unique_lock<std::shared_mutex> lock(index_mu_);
-  for (auto& [name, index] : indexes_) {
-    index.tree.Remove(ExtractKey(index, row), id);
-  }
-  return netmark::Status::OK();
-}
-
 void Table::DeferRemoval(const std::string& name, IndexKey key, RowId id) {
   PendingRemoval removal;
   removal.index = name;
@@ -68,19 +60,14 @@ netmark::Status Table::Update(RowId id, const Row& row) {
   NETMARK_RETURN_NOT_OK(heap_->Update(id, EncodeRow(row)));
   // Only touch B-trees whose key actually changed — updates to unindexed
   // columns (e.g. the XML store's sibling-link patches) skip all index work.
-  const bool mvcc = pager_->mvcc_enabled();
   std::unique_lock<std::shared_mutex> lock(index_mu_);
   for (auto& [name, index] : indexes_) {
     IndexKey old_key = ExtractKey(index, old_row);
     IndexKey new_key = ExtractKey(index, row);
     if (old_key == new_key) continue;
-    if (mvcc) {
-      // Snapshot readers may still resolve the row through its old key;
-      // the removal applies after the commit epoch passes the GC watermark.
-      DeferRemoval(name, std::move(old_key), id);
-    } else {
-      index.tree.Remove(old_key, id);
-    }
+    // Snapshot readers may still resolve the row through its old key; the
+    // removal applies after the commit epoch passes the GC watermark.
+    DeferRemoval(name, std::move(old_key), id);
     index.tree.Insert(std::move(new_key), id);
   }
   return netmark::Status::OK();
@@ -89,7 +76,6 @@ netmark::Status Table::Update(RowId id, const Row& row) {
 netmark::Status Table::Delete(RowId id) {
   NETMARK_ASSIGN_OR_RETURN(Row old_row, Get(id, kWriterEpoch));
   NETMARK_RETURN_NOT_OK(heap_->Delete(id));
-  if (!pager_->mvcc_enabled()) return IndexRemove(old_row, id);
   std::unique_lock<std::shared_mutex> lock(index_mu_);
   for (auto& [name, index] : indexes_) {
     DeferRemoval(name, ExtractKey(index, old_row), id);
@@ -181,7 +167,6 @@ netmark::Result<std::vector<RowId>> Table::IndexLookup(const std::string& index,
     std::shared_lock<std::shared_mutex> lock(index_mu_);
     candidates = it->second.tree.Lookup(key);
   }
-  if (!pager_->mvcc_enabled()) return candidates;
   return VerifyCandidates(it->second, std::move(candidates), epoch,
                           [&](const IndexKey& k) {
                             return CompareKeys(k, key) == 0;
@@ -201,7 +186,6 @@ netmark::Result<std::vector<RowId>> Table::IndexRange(const std::string& index,
     std::shared_lock<std::shared_mutex> lock(index_mu_);
     candidates = it->second.tree.Range(lo, hi);
   }
-  if (!pager_->mvcc_enabled()) return candidates;
   return VerifyCandidates(it->second, std::move(candidates), epoch,
                           [&](const IndexKey& k) {
                             return CompareKeys(lo, k) <= 0 &&
@@ -221,7 +205,6 @@ netmark::Result<std::vector<RowId>> Table::IndexPrefix(const std::string& index,
     std::shared_lock<std::shared_mutex> lock(index_mu_);
     candidates = it->second.tree.PrefixLookup(prefix);
   }
-  if (!pager_->mvcc_enabled()) return candidates;
   return VerifyCandidates(it->second, std::move(candidates), epoch,
                           [&](const IndexKey& k) {
                             if (k.size() < prefix.size()) return false;

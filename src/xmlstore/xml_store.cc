@@ -69,12 +69,11 @@ netmark::Result<std::vector<xml::Attribute>> DecodeAttributes(std::string_view b
 netmark::Result<std::unique_ptr<XmlStore>> XmlStore::Open(
     const std::string& dir, xml::NodeTypeConfig node_types,
     const storage::StorageOptions& storage_options) {
-  // The XML store is built around epoch-pinned snapshots: MVCC is not
-  // optional here (plain Database users may still opt out).
-  storage::StorageOptions opts = storage_options;
-  opts.mvcc_snapshots = true;
   NETMARK_ASSIGN_OR_RETURN(std::unique_ptr<storage::Database> db,
-                           storage::Database::Open(dir, opts));
+                           storage::Database::Open(dir, storage_options));
+  // Readers pin snapshot epochs, so superseded versions live until the
+  // store's own GC (RunVersionGc) finds no pin that needs them.
+  db->TakeOverVersionGc();
   std::unique_ptr<XmlStore> store(new XmlStore(std::move(db), std::move(node_types)));
   store->owned_metrics_ = std::make_unique<observability::MetricsRegistry>();
   store->metrics_ = store->owned_metrics_.get();
@@ -95,13 +94,13 @@ netmark::Result<std::unique_ptr<XmlStore>> XmlStore::Open(
   }
   store->last_commit_micros_.store(netmark::MonotonicMicros(),
                                    std::memory_order_relaxed);
-  if (opts.mvcc_gc_interval_ms > 0) {
+  if (storage_options.mvcc_gc_interval_ms > 0) {
     store->gc_thread_ = std::thread(&XmlStore::GcLoop, store.get(),
-                                    opts.mvcc_gc_interval_ms);
+                                    storage_options.mvcc_gc_interval_ms);
   }
-  if (opts.scrub_pages_per_sec > 0) {
+  if (storage_options.scrub_pages_per_sec > 0) {
     store->scrub_thread_ = std::thread(&XmlStore::ScrubberLoop, store.get(),
-                                       opts.scrub_pages_per_sec);
+                                       storage_options.scrub_pages_per_sec);
   }
   return store;
 }
@@ -752,12 +751,10 @@ netmark::Status XmlStore::CommitTransactionLocked() {
     observability::ScopedTimer timer(handles_.commit_micros);
     NETMARK_RETURN_NOT_OK(db_->CommitTransaction());
   }
-  // Publish the new consistent view: pages become visible under the next
-  // epoch atomically, queued index/posting removals are sealed with it, and
-  // snapshots taken from here on observe this mutation. Readers pinned at
-  // older epochs are untouched — no lock is involved.
-  storage::Epoch epoch = db_->PublishVersions();
-  SealPendingTextRemovals(epoch);
+  // The commit published the new consistent view under the next epoch;
+  // queued posting removals are sealed with it, as the database sealed its
+  // index removals. Readers pinned at older epochs are untouched.
+  SealPendingTextRemovals(db_->commit_epoch());
   last_commit_micros_.store(netmark::MonotonicMicros(), std::memory_order_relaxed);
   PublishWalCounters();
   // Size-triggered checkpoint: bounds both log growth and recovery time.

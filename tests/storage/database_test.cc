@@ -101,5 +101,51 @@ TEST(DatabaseTest, MultipleTablesCoexist) {
   EXPECT_EQ(names[1], "other");
 }
 
+TEST(DatabaseTest, CommitsPublishAndReclaimSupersededVersions) {
+  // A plain Database has no pinned readers: every commit publishes its
+  // pages — with or without the WAL — and reclaims what they superseded, so
+  // 1,000 commits to the same row leave one version per cached page.
+  for (bool wal : {true, false}) {
+    SCOPED_TRACE(wal ? "wal on" : "wal off");
+    auto dir = TempDir::Make("dbtest");
+    ASSERT_TRUE(dir.ok());
+    StorageOptions options;
+    options.wal_enabled = wal;
+    options.wal_fsync = WalFsyncPolicy::kNone;
+    auto db = Database::Open(dir->str(), options);
+    ASSERT_TRUE(db.ok());
+    auto table = (*db)->CreateTable(DocsSchema());
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE((*db)->CreateIndex("docs", "by_title", {"title"}).ok());
+    ASSERT_TRUE((*db)->BeginTransaction().ok());
+    auto id = (*table)->Insert({Value::Int(1), Value::Str("revision 0")});
+    ASSERT_TRUE(id.ok());
+    // Uncommitted: the latest published state has no row yet.
+    EXPECT_TRUE((*table)->Get(*id).status().IsNotFound());
+    ASSERT_TRUE((*db)->CommitTransaction().ok());
+    ASSERT_TRUE((*table)->Get(*id).ok());
+
+    constexpr int kCommits = 1000;
+    for (int i = 1; i <= kCommits; ++i) {
+      ASSERT_TRUE((*db)->BeginTransaction().ok());
+      Status st = (*table)->Update(
+          *id, {Value::Int(1), Value::Str("revision " + std::to_string(i))});
+      ASSERT_TRUE(st.ok()) << i << ": " << st.ToString();
+      ASSERT_TRUE((*db)->CommitTransaction().ok());
+    }
+    EXPECT_EQ((*db)->commit_epoch(), static_cast<Epoch>(kCommits + 1));
+    EXPECT_LE((*db)->retained_versions(), (*table)->pager().page_count());
+    EXPECT_GE((*db)->versions_reclaimed(), static_cast<uint64_t>(kCommits));
+    EXPECT_EQ((*table)->pending_removals(), 0u);
+    auto row = (*table)->Get(*id);
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ((*row)[1].AsStr(), "revision 1000");
+    EXPECT_TRUE(
+        (*table)->IndexLookup("by_title", {Value::Str("revision 999")})->empty());
+    EXPECT_EQ(
+        (*table)->IndexLookup("by_title", {Value::Str("revision 1000")})->size(), 1u);
+  }
+}
+
 }  // namespace
 }  // namespace netmark::storage

@@ -30,14 +30,19 @@ class HeapFileTest : public ::testing::Test {
     heap_ = std::make_unique<HeapFile>(std::move(*heap));
   }
 
+  // Publishes the writer's pages: reads below serve published versions.
+  void Commit() { pager_->Publish(++epoch_); }
+
   std::unique_ptr<TempDir> dir_;
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<HeapFile> heap_;
+  Epoch epoch_ = 0;
 };
 
 TEST_F(HeapFileTest, InsertGetRoundTrip) {
   auto id = heap_->Insert("record one");
   ASSERT_TRUE(id.ok());
+  Commit();
   auto got = heap_->Get(*id);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, "record one");
@@ -62,6 +67,7 @@ TEST_F(HeapFileTest, SpillsAcrossPages) {
     ASSERT_TRUE(id.ok());
     ids.push_back(*id);
   }
+  Commit();
   EXPECT_GT(pager_->page_count(), 1u);
   for (int i = 0; i < 50; ++i) {
     auto got = heap_->Get(ids[static_cast<size_t>(i)]);
@@ -77,12 +83,14 @@ TEST_F(HeapFileTest, OverflowRecordRoundTrip) {
   for (int i = 0; i < 100 * 1024; ++i) big += static_cast<char>('a' + (i % 26));
   auto id = heap_->Insert(big);
   ASSERT_TRUE(id.ok());
+  Commit();
   auto got = heap_->Get(*id);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, big);
   // Normal records continue to work around it.
   auto small = heap_->Insert("small");
   ASSERT_TRUE(small.ok());
+  Commit();
   EXPECT_EQ(*heap_->Get(*small), "small");
 }
 
@@ -91,14 +99,17 @@ TEST_F(HeapFileTest, UpdateInPlaceAndGrowing) {
   ASSERT_TRUE(id.ok());
   // Shrink: in place.
   ASSERT_TRUE(heap_->Update(*id, "tiny but 9+ bytes").ok());
+  Commit();
   EXPECT_EQ(*heap_->Get(*id), "tiny but 9+ bytes");
   // Grow: relocates, RowId stays valid.
   std::string grown(5000, 'g');
   ASSERT_TRUE(heap_->Update(*id, grown).ok());
+  Commit();
   EXPECT_EQ(*heap_->Get(*id), grown);
   // Grow to overflow size through the same RowId.
   std::string huge(50000, 'h');
   ASSERT_TRUE(heap_->Update(*id, huge).ok());
+  Commit();
   EXPECT_EQ(*heap_->Get(*id), huge);
   EXPECT_EQ(heap_->live_records(), 1u);
 }
@@ -109,6 +120,7 @@ TEST_F(HeapFileTest, RepeatedGrowingUpdatesCollapseChains) {
   for (int i = 1; i <= 20; ++i) {
     std::string content(static_cast<size_t>(100 * i), 'u');
     ASSERT_TRUE(heap_->Update(*id, content).ok()) << i;
+    Commit();
     EXPECT_EQ(heap_->Get(*id)->size(), content.size());
   }
   EXPECT_EQ(heap_->live_records(), 1u);
@@ -123,6 +135,7 @@ TEST_F(HeapFileTest, ScanVisitsEachLogicalRecordOnce) {
   ASSERT_TRUE(heap_->Update(*b, std::string(6000, 'B')).ok());
   // Delete c.
   ASSERT_TRUE(heap_->Delete(*c).ok());
+  Commit();
 
   std::map<uint64_t, std::string> seen;
   ASSERT_TRUE(heap_
@@ -144,6 +157,7 @@ TEST_F(HeapFileTest, PersistsAcrossReopen) {
   ASSERT_TRUE(a.ok() && b.ok());
   RowId ra = *a;
   RowId rb = *b;
+  Commit();
   ASSERT_TRUE(pager_->Flush().ok());
   Reopen();
   EXPECT_EQ(heap_->live_records(), 2u);
@@ -152,6 +166,7 @@ TEST_F(HeapFileTest, PersistsAcrossReopen) {
   // Appending after reopen lands in a valid position.
   auto c = heap_->Insert("after reopen");
   ASSERT_TRUE(c.ok());
+  Commit();
   EXPECT_EQ(*heap_->Get(*c), "after reopen");
 }
 
@@ -184,6 +199,7 @@ TEST_F(HeapFileTest, RandomizedWorkloadMatchesReferenceMap) {
       live.erase(live.begin() + static_cast<long>(pick));
     }
   }
+  Commit();
   EXPECT_EQ(heap_->live_records(), reference.size());
   for (const auto& [packed, expected] : reference) {
     auto got = heap_->Get(RowId::Unpack(packed));

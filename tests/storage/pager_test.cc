@@ -72,6 +72,7 @@ TEST_F(PagerTest, DirtyPagesPersistAcrossReopen) {
       page->Insert("page " + std::to_string(i));
       (*pager)->MarkDirty(*id);
     }
+    (*pager)->Publish(1);  // commit: Flush writes published bytes only
     ASSERT_TRUE((*pager)->Flush().ok());
   }
   auto pager = Pager::Open(path_);
@@ -93,6 +94,7 @@ TEST_F(PagerTest, UnflushedChangesWrittenByDestructor) {
     auto page = (*pager)->Fetch(*id);
     page->Insert("auto-flushed");
     (*pager)->MarkDirty(*id);
+    (*pager)->Publish(1);
     // no explicit Flush: the destructor must write back
   }
   auto pager = Pager::Open(path_);
@@ -107,6 +109,7 @@ TEST_F(PagerTest, ReadCountsTrackCacheMisses) {
     auto pager = Pager::Open(path_);
     ASSERT_TRUE(pager.ok());
     for (int i = 0; i < 3; ++i) ASSERT_TRUE((*pager)->Allocate().ok());
+    (*pager)->Publish(1);  // commit: Flush writes published bytes only
     ASSERT_TRUE((*pager)->Flush().ok());
     EXPECT_EQ((*pager)->pages_written(), 3u);
     // Freshly allocated pages are cached: no reads.
@@ -137,6 +140,7 @@ TEST_F(PagerTest, ManyPagesSurviveRoundTrip) {
       page->Insert(payload);
       (*pager)->MarkDirty(*id);
     }
+    (*pager)->Publish(1);  // commit: Flush writes published bytes only
     ASSERT_TRUE((*pager)->Flush().ok());
   }
   auto pager = Pager::Open(path_);
@@ -166,6 +170,7 @@ TEST_F(PagerTest, FlushPropagatesWriteErrorAndKeepsPageDirty) {
     page->Insert("page " + std::to_string(i));
     (*pager)->MarkDirty(*id);
   }
+  (*pager)->Publish(1);  // commit: Flush writes published bytes only
   netmark::Status st = (*pager)->Flush();
   EXPECT_TRUE(st.IsIOError()) << st.ToString();
   EXPECT_EQ(env.faults_injected(), 1u);
@@ -202,6 +207,7 @@ TEST_F(PagerTest, ShortWriteIsCompletedNotSilentlyTruncated) {
     auto page = (*pager)->Fetch(*id);
     page->Insert("short write victim");
     (*pager)->MarkDirty(*id);
+    (*pager)->Publish(1);  // commit: Flush writes published bytes only
     ASSERT_TRUE((*pager)->Flush().ok());
     EXPECT_EQ(env.faults_injected(), 1u);
   }
@@ -221,6 +227,7 @@ TEST_F(PagerTest, ChecksumRoundTripAcrossReopen) {
     auto page = (*pager)->Fetch(*id);
     page->Insert("checksummed");
     (*pager)->MarkDirty(*id);
+    (*pager)->Publish(1);  // commit: Flush writes published bytes only
     ASSERT_TRUE((*pager)->Flush().ok());
   }
   // The flushed bytes carry a valid trailer...
@@ -249,6 +256,7 @@ TEST_F(PagerTest, BitFlipQuarantinesPageOnRead) {
       page->Insert("page " + std::to_string(i));
       (*pager)->MarkDirty(*id);
     }
+    (*pager)->Publish(1);  // commit: Flush writes published bytes only
     ASSERT_TRUE((*pager)->Flush().ok());
   }
   FlipByte(kPageSize + 100);  // one byte of page 1's record area
@@ -277,6 +285,7 @@ TEST_F(PagerTest, VerifyOnDiskQuarantinesUncachedCorruption) {
     auto page = (*pager)->Fetch(*id);
     page->Insert("scrub target");
     (*pager)->MarkDirty(*id);
+    (*pager)->Publish(1);  // commit: Flush writes published bytes only
     ASSERT_TRUE((*pager)->Flush().ok());
   }
   FlipByte(300);
@@ -304,6 +313,7 @@ TEST_F(PagerTest, VerifyOnDiskSelfHealsCachedCorruption) {
   auto page = (*pager)->Fetch(*id);
   page->Insert("healable");
   (*pager)->MarkDirty(*id);
+  (*pager)->Publish(1);  // commit: Flush writes published bytes only
   ASSERT_TRUE((*pager)->Flush().ok());
 
   // Rot the on-disk copy while a clean copy is still cached: the scrubber
@@ -330,6 +340,7 @@ TEST_F(PagerTest, V0PageIsServedUnverified) {
     auto page = (*pager)->Fetch(*id);
     page->Insert("legacy");
     (*pager)->MarkDirty(*id);
+    (*pager)->Publish(1);
     ASSERT_TRUE((*pager)->Flush().ok());
   }
   // Rewrite the page as v0: clear the version byte and the trailer. A legacy

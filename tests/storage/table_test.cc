@@ -29,13 +29,23 @@ class TableTest : public ::testing::Test {
     ASSERT_TRUE(table.ok());
     table_ = std::move(*table);
   }
+  // What a plain Database commit does to the table: publish the writer's
+  // pages, then apply the index removals no reader can need any more.
+  void Commit() {
+    ++epoch_;
+    table_->mutable_pager()->Publish(epoch_);
+    table_->SealPendingRemovals(epoch_);
+    table_->ApplyPendingRemovals(epoch_);
+  }
   std::unique_ptr<TempDir> dir_;
   std::unique_ptr<Table> table_;
+  Epoch epoch_ = 0;
 };
 
 TEST_F(TableTest, InsertGetRoundTrip) {
   auto id = table_->Insert(Person(1, "ada", 36));
   ASSERT_TRUE(id.ok());
+  Commit();
   auto row = table_->Get(*id);
   ASSERT_TRUE(row.ok());
   EXPECT_EQ((*row)[1].AsStr(), "ada");
@@ -58,6 +68,7 @@ TEST_F(TableTest, IndexMaintainedAcrossMutations) {
   auto a = table_->Insert(Person(1, "ada", 36));
   auto b = table_->Insert(Person(2, "bob", 50));
   ASSERT_TRUE(a.ok() && b.ok());
+  Commit();
 
   auto hits = table_->IndexLookup("by_name", {Value::Str("ada")});
   ASSERT_TRUE(hits.ok());
@@ -66,11 +77,13 @@ TEST_F(TableTest, IndexMaintainedAcrossMutations) {
 
   // Update moves the index entry.
   ASSERT_TRUE(table_->Update(*a, Person(1, "ada lovelace", 36)).ok());
+  Commit();
   EXPECT_TRUE(table_->IndexLookup("by_name", {Value::Str("ada")})->empty());
   EXPECT_EQ(table_->IndexLookup("by_name", {Value::Str("ada lovelace")})->size(), 1u);
 
   // Delete removes it.
   ASSERT_TRUE(table_->Delete(*b).ok());
+  Commit();
   EXPECT_TRUE(table_->IndexLookup("by_name", {Value::Str("bob")})->empty());
   EXPECT_EQ(table_->row_count(), 1u);
 }
@@ -80,6 +93,7 @@ TEST_F(TableTest, CreateIndexBackfillsExistingRows) {
     ASSERT_TRUE(table_->Insert(Person(i, "p" + std::to_string(i), i * 2)).ok());
   }
   ASSERT_TRUE(table_->CreateIndex("by_id", {"id"}).ok());
+  Commit();
   auto hits = table_->IndexLookup("by_id", {Value::Int(13)});
   ASSERT_TRUE(hits.ok());
   ASSERT_EQ(hits->size(), 1u);
@@ -92,6 +106,7 @@ TEST_F(TableTest, CompositeIndexRangeAndPrefix) {
   for (int64_t i = 0; i < 30; ++i) {
     ASSERT_TRUE(table_->Insert(Person(i, "p", i % 3 == 0 ? 30 : 40)).ok());
   }
+  Commit();
   auto thirty = table_->IndexPrefix("by_age_id", {Value::Int(30)});
   ASSERT_TRUE(thirty.ok());
   EXPECT_EQ(thirty->size(), 10u);
@@ -123,6 +138,7 @@ TEST_F(TableTest, ScanVisitsAllRows) {
   for (int64_t i = 0; i < 10; ++i) {
     ASSERT_TRUE(table_->Insert(Person(i, "n", i)).ok());
   }
+  Commit();
   int64_t sum = 0;
   ASSERT_TRUE(table_
                   ->Scan([&](RowId, const Row& row) {
@@ -135,6 +151,7 @@ TEST_F(TableTest, ScanVisitsAllRows) {
 
 TEST_F(TableTest, ScanErrorPropagates) {
   ASSERT_TRUE(table_->Insert(Person(1, "x", 1)).ok());
+  Commit();
   Status st = table_->Scan(
       [](RowId, const Row&) { return Status::Internal("stop here"); });
   EXPECT_TRUE(st.IsInternal());

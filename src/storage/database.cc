@@ -205,21 +205,11 @@ bool Database::ShouldCheckpoint() const {
   return wal_ != nullptr && wal_->size_bytes() >= options_.checkpoint_bytes;
 }
 
-netmark::Status Database::StagePendingAndUpgrades() {
-  // One v0→v1 format scan per open: pages with spare trailer room are
-  // upgraded (in MVCC mode the published current version is swapped for an
-  // upgraded clone) and land in dirty-since-mark so this checkpoint stages
-  // and persists them. Unreadable pages are left as is.
-  if (!upgrade_scan_done_) {
-    upgrade_scan_done_ = true;
-    for (auto& [name, table] : tables_) {
-      (void)table->mutable_pager()->UpgradeAllV0();
-    }
-  }
-  // Stage every pending dirty-since-mark image (format upgrades plus junk
-  // pages left by abandoned transactions) on the log before the heap flush
-  // below: a crash mid-flush must find these images replayable, or a torn
-  // heap write of an upgraded page would be unrecoverable.
+netmark::Status Database::StagePending() {
+  // Stage every pending dirty-since-mark image (junk pages left by
+  // abandoned transactions, writes made outside a transaction) on the log
+  // before the heap flush: a crash mid-flush must find these images
+  // replayable, or a torn heap write of such a page would be unrecoverable.
   uint64_t txn = next_txn_id_++;
   uint64_t staged = 0;
   for (auto& [name, table] : tables_) {
@@ -254,7 +244,7 @@ netmark::Status Database::Checkpoint() {
     MarkDegraded(st);
     return st;
   };
-  netmark::Status st = StagePendingAndUpgrades();
+  netmark::Status st = StagePending();
   if (!st.ok()) return fail(std::move(st));
   // Order matters: heap writes + fsync BEFORE the log shrinks, so a crash
   // anywhere in between still replays from the intact log.

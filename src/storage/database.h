@@ -213,9 +213,9 @@ class Database {
   /// unless a caller took over version GC — reclaims what it superseded.
   /// Writer thread only. Returns the new epoch.
   Epoch PublishVersions();
-  /// One-time v0→v1 page format upgrade pass + WAL staging of all pending
-  /// dirty-since-mark images, run at the start of a checkpoint.
-  netmark::Status StagePendingAndUpgrades();
+  /// WAL staging (and publication) of all pending dirty-since-mark images,
+  /// run at the start of a checkpoint.
+  netmark::Status StagePending();
 
   std::string dir_;
   StorageOptions options_;
@@ -229,7 +229,6 @@ class Database {
   bool in_txn_ = false;
   uint64_t last_checkpoint_lsn_ = 0;
   uint64_t checkpoints_ = 0;
-  bool upgrade_scan_done_ = false;
   bool reclaim_on_commit_ = true;
   std::atomic<Epoch> commit_epoch_{0};
 

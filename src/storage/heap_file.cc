@@ -17,10 +17,8 @@ namespace {
 //   bytes 8..11 : chunk length
 //   bytes 12..  : chunk data
 constexpr size_t kOverflowHeader = 12;
-// New (v1) chunks leave room for the CRC trailer; legacy v0 chunks may run
-// to the end of the page.
+// Chunks stop short of the CRC trailer.
 constexpr size_t kOverflowChunk = kPageSize - kOverflowHeader - kPageTrailerSize;
-constexpr size_t kOverflowChunkV0Max = kPageSize - kOverflowHeader;
 
 uint16_t ReadMarker(const uint8_t* raw) {
   uint16_t v;
@@ -130,9 +128,9 @@ netmark::Result<std::string> HeapFile::ReadOverflow(std::string_view payload,
     }
     uint32_t len;
     std::memcpy(&len, raw + 8, 4);
-    // Bound by the v0 physical maximum: legacy chunks may use the trailer
-    // bytes for data.
-    if (len > kOverflowChunkV0Max) {
+    // A longer chunk would read the CRC trailer as data (and, with checksum
+    // verification off, nothing else would notice).
+    if (len > kOverflowChunk) {
       return netmark::Status::Corruption("bad overflow chunk");
     }
     out.append(reinterpret_cast<const char*>(raw + kOverflowHeader), len);

@@ -9,14 +9,11 @@
 // (page, slot) pair — a RowId — is a stable physical address. Deleted slots
 // become tombstones.
 //
-// Format versions. Header byte 4 (byte 2 on overflow pages, whose bytes 4-7
-// hold the next-page pointer) is the format version:
-//   v0 — legacy: no trailer, records may extend to the last byte.
-//   v1 — the last 4 bytes hold CRC32C over bytes [0, kPageSize-4).
-// New pages are born v1; v0 pages coming off disk are upgraded in place at
-// checkpoint when they have 4 spare bytes (see PageTryUpgradeV1), and are
-// otherwise served unverified forever — stamping a CRC over live record
-// bytes would corrupt them.
+// Format. Header byte 4 (byte 2 on overflow pages, whose bytes 4-7 hold the
+// next-page pointer) is the format version, always v1: the last 4 bytes of
+// every page hold CRC32C over bytes [0, kPageSize-4). There is no unverified
+// format — a page whose header or trailer reads back as zeros fails its
+// checksum like any other corruption.
 
 #ifndef NETMARK_STORAGE_PAGE_H_
 #define NETMARK_STORAGE_PAGE_H_
@@ -31,7 +28,7 @@ namespace netmark::storage {
 
 inline constexpr size_t kPageSize = 8192;
 
-/// Bytes reserved at the end of every v1 page for the CRC32C trailer.
+/// Bytes reserved at the end of every page for the CRC32C trailer.
 inline constexpr size_t kPageTrailerSize = 4;
 
 /// Current page format version.
@@ -51,7 +48,7 @@ class Page {
  public:
   explicit Page(uint8_t* data) : data_(data) {}
 
-  /// Initializes the header of a fresh (v1) page. The trailer is reserved
+  /// Initializes the header of a fresh page. The trailer is reserved
   /// unconditionally — whether it is *verified* is the pager's knob.
   void Init() {
     set_slot_count(0);
@@ -118,7 +115,7 @@ class Page {
 
   static constexpr size_t kHeaderSize = 8;
   static constexpr size_t kSlotSize = 4;
-  /// Largest record that fits in an empty (v1) page.
+  /// Largest record that fits in an empty page.
   static constexpr size_t kMaxInlineRecord =
       kPageSize - kHeaderSize - kSlotSize - kPageTrailerSize;
 
@@ -158,65 +155,22 @@ inline uint8_t PageVersion(const uint8_t* data) {
   return PageIsOverflow(data) ? data[2] : data[4];
 }
 
-/// Whether the page carries a CRC32C trailer.
-inline bool PageHasChecksum(const uint8_t* data) {
-  return PageVersion(data) >= kPageFormatV1;
-}
-
 /// CRC32C over everything but the trailer.
 inline uint32_t PageComputeCrc(const uint8_t* data) {
   return Crc32c(data, kPageSize - kPageTrailerSize);
 }
 
-/// Writes the trailer on a v1 page; no-op on v0 (the last 4 bytes of a v0
-/// page may be live record data).
+/// Writes the CRC32C trailer.
 inline void PageStampChecksum(uint8_t* data) {
-  if (!PageHasChecksum(data)) return;
   uint32_t crc = PageComputeCrc(data);
   std::memcpy(data + kPageSize - kPageTrailerSize, &crc, kPageTrailerSize);
 }
 
-/// True when the trailer matches — or when the page is v0 and therefore
-/// unverifiable.
+/// True when the trailer matches the page contents.
 inline bool PageVerifyChecksum(const uint8_t* data) {
-  if (!PageHasChecksum(data)) return true;
   uint32_t stored;
   std::memcpy(&stored, data + kPageSize - kPageTrailerSize, kPageTrailerSize);
   return stored == PageComputeCrc(data);
-}
-
-/// Upgrades a v0 page to v1 in place when 4 spare bytes exist: slotted pages
-/// shift their record block down by the trailer size (slot offsets follow),
-/// overflow pages only need spare room after the chunk. Returns true when the
-/// buffer was modified; false when already v1 or when the page is too full to
-/// upgrade (it stays v0, served unverified).
-inline bool PageTryUpgradeV1(uint8_t* data) {
-  if (PageHasChecksum(data)) return false;
-  if (PageIsOverflow(data)) {
-    uint32_t len;
-    std::memcpy(&len, data + 8, 4);
-    constexpr size_t kOverflowHeader = 12;
-    if (len > kPageSize - kOverflowHeader - kPageTrailerSize) return false;
-    data[2] = kPageFormatV1;
-    return true;
-  }
-  Page page(data);
-  if (page.FreeSpace() < kPageTrailerSize) return false;
-  uint16_t old_end = page.free_end();
-  size_t record_bytes = kPageSize - old_end;
-  uint16_t new_end = static_cast<uint16_t>(old_end - kPageTrailerSize);
-  std::memmove(data + new_end, data + old_end, record_bytes);
-  for (uint16_t slot = 0; slot < page.slot_count(); ++slot) {
-    size_t base = Page::kHeaderSize + static_cast<size_t>(slot) * Page::kSlotSize;
-    uint16_t off;
-    std::memcpy(&off, data + base, 2);
-    if (off == kTombstoneOffset) continue;
-    off = static_cast<uint16_t>(off - kPageTrailerSize);
-    std::memcpy(data + base, &off, 2);
-  }
-  std::memcpy(data + 2, &new_end, 2);
-  data[4] = kPageFormatV1;
-  return true;
 }
 
 }  // namespace netmark::storage

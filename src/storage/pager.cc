@@ -243,42 +243,6 @@ netmark::Status Pager::Flush() {
 
 netmark::Status Pager::SyncToDisk() { return file_->Sync(); }
 
-netmark::Result<std::vector<PageId>> Pager::UpgradeAllV0() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<PageId> upgraded;
-  PageId count = page_count_.load(std::memory_order_relaxed);
-  for (PageId id = 0; id < count; ++id) {
-    if (quarantined_.count(id) != 0) continue;
-    auto entry_or = LoadEntryLocked(id);
-    if (!entry_or.ok()) {
-      // A freshly quarantined page cannot be upgraded; skip it like the
-      // scrubber does. Transient read errors still abort the scan.
-      if (entry_or.status().IsDataLoss()) continue;
-      return entry_or.status();
-    }
-    Entry* entry = *entry_or;
-    if (entry->working != nullptr) {
-      // The writer's private copy upgrades in place (it is unpublished, so
-      // no reader can observe the shift).
-      (void)PageTryUpgradeV1(entry->working.get());
-    }
-    if (entry->versions.empty()) continue;
-    auto& current = entry->versions.back();
-    if (PageVersion(current.second.get()) >= kPageFormatV1) continue;
-    auto clone = ClonePageBuffer(current.second.get());
-    if (PageTryUpgradeV1(clone.get())) {
-      PageStampChecksum(clone.get());
-      // Same epoch tag, new bytes: in-flight PageRefs keep the old buffer
-      // alive; new readers see the (equivalent) v1 image.
-      current.second = std::move(clone);
-      entry->disk_dirty = true;
-      dirty_since_mark_.insert(id);
-      upgraded.push_back(id);
-    }
-  }
-  return upgraded;
-}
-
 netmark::Result<bool> Pager::VerifyOnDisk(PageId id) {
   std::lock_guard<std::mutex> lock(mu_);
   if (quarantined_.count(id) != 0) return true;  // already known bad

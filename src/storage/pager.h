@@ -12,7 +12,7 @@
 // file, and SyncToDisk() makes a completed flush durable.
 //
 // Disk faults (docs/durability.md): all file I/O goes through a
-// netmark::Env, every v1 page is CRC-stamped on flush and verified on read
+// netmark::Env, every page is CRC-stamped on flush and verified on read
 // miss, and a page whose checksum does not match is *quarantined* — the read
 // returns Status::DataLoss, the page is never cached or served, and the
 // scrubber/healthz report it. Read errors (EIO) do not quarantine: the
@@ -67,8 +67,8 @@ inline constexpr Epoch kWriterEpoch = kLatestEpoch - 1;
 struct PagerOptions {
   /// File I/O environment; nullptr means Env::Default().
   netmark::Env* env = nullptr;
-  /// Verify the CRC32C trailer on every read miss (v1 pages only). Stamping
-  /// on flush is unconditional so the knob can be toggled freely.
+  /// Verify the CRC32C trailer on every read miss. Stamping on flush is
+  /// unconditional so the knob can be toggled freely.
   bool verify_checksums = true;
   /// Bound on published versions kept per page (0 = unlimited). When
   /// the cap forces a drop, readers pinned before the surviving window get
@@ -79,7 +79,7 @@ struct PagerOptions {
 /// \brief Shared, read-only handle to one immutable page version.
 ///
 /// Holds a reference on the underlying buffer, so the bytes stay valid even
-/// if version GC or a v0->v1 upgrade retires the version concurrently.
+/// if version GC retires the version concurrently.
 class PageRef {
  public:
   PageRef() = default;
@@ -154,7 +154,7 @@ class Pager {
   /// page is always kept. Returns the number of versions reclaimed.
   uint64_t ReclaimVersions(const std::vector<Epoch>& pins, Epoch cap);
 
-  /// Writes all dirty pages to disk, stamping each v1 page's CRC trailer
+  /// Writes all dirty pages to disk, stamping each page's CRC trailer
   /// first. Only *published* bytes are written (working copies are
   /// invisible to Flush), preserving WAL-before-heap ordering. Every
   /// page is attempted even after a failure; a page whose write fails stays
@@ -169,18 +169,10 @@ class Pager {
   /// The commit path uses this to stage write-ahead-log images.
   std::vector<PageId> TakeDirtySinceMark();
 
-  /// Upgrades every v0 page to the checksummed v1 format where possible
-  /// (see PageTryUpgradeV1), loading uncached pages from disk. The current
-  /// published version is replaced by an upgraded clone under the same
-  /// epoch tag (in-flight PageRefs keep the old buffer alive).
-  /// Returns the ids whose persistent image changed so the caller can stage
-  /// them on the WAL before the next flush. Quarantined pages are skipped.
-  netmark::Result<std::vector<PageId>> UpgradeAllV0();
-
   /// Re-reads one page from disk and checks its CRC (the scrubber's probe).
   /// Returns false — and quarantines the page — when a fresh corruption was
   /// found; true when the page verified, was dirty (the on-disk copy is
-  /// legitimately stale), was already quarantined, or is v0 (unverifiable).
+  /// legitimately stale) or was already quarantined.
   /// Read errors propagate as a Status without quarantining.
   netmark::Result<bool> VerifyOnDisk(PageId id);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
 #include <map>
 
 #include "common/rng.h"
@@ -168,6 +170,54 @@ TEST_F(HeapFileTest, PersistsAcrossReopen) {
   ASSERT_TRUE(c.ok());
   Commit();
   EXPECT_EQ(*heap_->Get(*c), "after reopen");
+}
+
+TEST_F(HeapFileTest, OverflowChunkRunningIntoTrailerIsCorruption) {
+  // Overflow page layout: marker (2) + version + pad + next (4) + length
+  // (4), then the chunk, which must stop short of the CRC trailer.
+  constexpr size_t kHeader = 12;
+  constexpr size_t kChunk = kPageSize - kHeader - kPageTrailerSize;
+  const std::string record(kChunk + 100, 'o');  // two chunks: kChunk + 100
+  auto id = heap_->Insert(record);
+  ASSERT_TRUE(id.ok());
+  Commit();
+  ASSERT_TRUE(pager_->Flush().ok());
+  heap_.reset();
+  pager_.reset();
+
+  // Shift 4 bytes of data into the first chunk's trailer and out of the
+  // second chunk, so the chain's total length still matches.
+  const std::string path = (dir_->path() / "t.heap").string();
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  int patched = 0;
+  for (PageId pid = 0;; ++pid) {
+    uint8_t head[kHeader];
+    f.seekg(static_cast<std::streamoff>(pid) * kPageSize);
+    if (!f.read(reinterpret_cast<char*>(head), kHeader)) break;
+    uint16_t marker;
+    std::memcpy(&marker, head, 2);
+    if (marker != kOverflowMarker) continue;
+    uint32_t len;
+    std::memcpy(&len, head + 8, 4);
+    len = len == kChunk ? len + kPageTrailerSize : len - kPageTrailerSize;
+    f.seekp(static_cast<std::streamoff>(pid) * kPageSize + 8);
+    f.write(reinterpret_cast<const char*>(&len), 4);
+    ++patched;
+  }
+  f.close();
+  ASSERT_EQ(patched, 2);
+
+  // With verification off only the chunk bound stands between the reader
+  // and the trailer bytes.
+  PagerOptions options;
+  options.verify_checksums = false;
+  auto pager = Pager::Open(path, options);
+  ASSERT_TRUE(pager.ok());
+  auto heap = HeapFile::Open(pager->get());
+  ASSERT_TRUE(heap.ok());
+  auto got = heap->Get(*id);
+  EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
 }
 
 TEST_F(HeapFileTest, RandomizedWorkloadMatchesReferenceMap) {

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <fstream>
 
 #include "common/env.h"
@@ -32,6 +31,28 @@ class PagerTest : public ::testing::Test {
     c = static_cast<char>(c ^ 0x40);
     f.seekp(static_cast<std::streamoff>(offset));
     f.write(&c, 1);
+  }
+
+  // Overwrites `len` bytes of the on-disk page file with zeros.
+  void ZeroBytes(size_t offset, size_t len) {
+    std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.is_open());
+    f.seekp(static_cast<std::streamoff>(offset));
+    std::string zeros(len, '\0');
+    f.write(zeros.data(), static_cast<std::streamsize>(len));
+  }
+  // Writes, commits and flushes page 0 holding one record.
+  void WriteOnePage(const std::string& record) {
+    auto pager = Pager::Open(path_);
+    ASSERT_TRUE(pager.ok());
+    auto id = (*pager)->Allocate();
+    ASSERT_TRUE(id.ok());
+    auto page = (*pager)->Fetch(*id);
+    ASSERT_TRUE(page.ok());
+    page->Insert(record);
+    (*pager)->MarkDirty(*id);
+    (*pager)->Publish(1);
+    ASSERT_TRUE((*pager)->Flush().ok());
   }
 
   std::unique_ptr<TempDir> dir_;
@@ -331,71 +352,30 @@ TEST_F(PagerTest, VerifyOnDiskSelfHealsCachedCorruption) {
   EXPECT_TRUE(*healed);
 }
 
-TEST_F(PagerTest, V0PageIsServedUnverified) {
-  {
-    auto pager = Pager::Open(path_);
-    ASSERT_TRUE(pager.ok());
-    auto id = (*pager)->Allocate();
-    ASSERT_TRUE(id.ok());
-    auto page = (*pager)->Fetch(*id);
-    page->Insert("legacy");
-    (*pager)->MarkDirty(*id);
-    (*pager)->Publish(1);
-    ASSERT_TRUE((*pager)->Flush().ok());
-  }
-  // Rewrite the page as v0: clear the version byte and the trailer. A legacy
-  // page has no checksum, so a verifying pager must serve it as-is rather
-  // than false-quarantine it.
-  {
-    std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.is_open());
-    char zero[kPageTrailerSize] = {0};
-    f.seekp(4);
-    f.write(zero, 1);  // version byte -> v0
-    f.seekp(static_cast<std::streamoff>(kPageSize - kPageTrailerSize));
-    f.write(zero, kPageTrailerSize);  // trailer -> garbage (zeros)
-  }
+TEST_F(PagerTest, ZeroedVersionByteAndTrailerIsQuarantined) {
+  WriteOnePage("checksummed");
+  // Clear the version byte and the trailer. No page format goes
+  // unverified, so this is corruption like any other.
+  ZeroBytes(4, 1);
+  ZeroBytes(kPageSize - kPageTrailerSize, kPageTrailerSize);
   auto pager = Pager::Open(path_);
   ASSERT_TRUE(pager.ok());
   auto page = (*pager)->Fetch(0);
-  ASSERT_TRUE(page.ok()) << page.status().ToString();
-  EXPECT_EQ(page->Get(0), "legacy");
-  EXPECT_EQ(PageVersion(page->raw()), 0);
-  EXPECT_EQ((*pager)->quarantined_count(), 0u);
+  EXPECT_TRUE(page.status().IsDataLoss()) << page.status().ToString();
+  EXPECT_TRUE((*pager)->IsQuarantined(0));
+  EXPECT_EQ((*pager)->quarantined_count(), 1u);
 }
 
-TEST(PageFormatTest, TryUpgradeV1ShiftsRecordsAndPreservesContent) {
-  alignas(8) uint8_t buf[kPageSize] = {0};
-  Page page(buf);
-  page.Init();
-  uint16_t a = page.Insert("first record");
-  uint16_t b = page.Insert("second record");
-  // Regress the page to v0: undo the trailer reservation the way a legacy
-  // writer would have laid it out (records flush against kPageSize).
-  std::memmove(buf + page.free_end() + kPageTrailerSize, buf + page.free_end(),
-               kPageSize - kPageTrailerSize - page.free_end());
-  for (uint16_t slot = 0; slot < page.slot_count(); ++slot) {
-    size_t base = Page::kHeaderSize + static_cast<size_t>(slot) * Page::kSlotSize;
-    uint16_t off;
-    std::memcpy(&off, buf + base, 2);
-    off = static_cast<uint16_t>(off + kPageTrailerSize);
-    std::memcpy(buf + base, &off, 2);
-  }
-  uint16_t v0_end = static_cast<uint16_t>(page.free_end() + kPageTrailerSize);
-  std::memcpy(buf + 2, &v0_end, 2);
-  buf[4] = 0;
-  ASSERT_EQ(page.Get(a), "first record");
-  ASSERT_EQ(page.Get(b), "second record");
-  ASSERT_FALSE(PageHasChecksum(buf));
-
-  EXPECT_TRUE(PageTryUpgradeV1(buf));
-  EXPECT_TRUE(PageHasChecksum(buf));
-  EXPECT_EQ(page.Get(a), "first record");
-  EXPECT_EQ(page.Get(b), "second record");
-  PageStampChecksum(buf);
-  EXPECT_TRUE(PageVerifyChecksum(buf));
-  // Upgrading twice is a no-op.
-  EXPECT_FALSE(PageTryUpgradeV1(buf));
+TEST_F(PagerTest, ZeroedFirstSectorIsQuarantined) {
+  WriteOnePage("checksummed");
+  // A first sector that reads back as zeros must not pass as an empty page.
+  ZeroBytes(0, 512);
+  auto pager = Pager::Open(path_);
+  ASSERT_TRUE(pager.ok());
+  auto page = (*pager)->Fetch(0);
+  EXPECT_TRUE(page.status().IsDataLoss()) << page.status().ToString();
+  EXPECT_TRUE((*pager)->IsQuarantined(0));
+  EXPECT_EQ((*pager)->quarantined_count(), 1u);
 }
 
 TEST_F(PagerTest, TakeDirtySinceMarkTracksAllocationsAndDirties) {

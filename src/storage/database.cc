@@ -318,16 +318,6 @@ netmark::Status Database::SyncWal() {
 
 netmark::Status Database::Flush() {
   if (wal_ != nullptr && !in_txn_) return Checkpoint();
-  if (!in_txn_) {
-    // Without a log this is where writes made outside a transaction (or
-    // left by an abandoned one) are published and persisted, as the
-    // checkpoint does with the log on.
-    bool pending = false;
-    for (auto& [name, table] : tables_) {
-      pending |= !table->mutable_pager()->TakeDirtySinceMark().empty();
-    }
-    if (pending) PublishVersions();
-  }
   for (auto& [name, table] : tables_) {
     NETMARK_RETURN_NOT_OK(table->Flush());
   }

@@ -101,7 +101,9 @@ class Database {
 
   /// Opens a commit scope. Mutations until CommitTransaction() become
   /// visible — and, with the WAL on, durable — atomically. Fails if a
-  /// transaction is already open.
+  /// transaction is already open. Readers never see a mutation made
+  /// outside a transaction until a later commit (or, with the WAL on, a
+  /// checkpoint) publishes it.
   netmark::Status BeginTransaction();
   /// With the WAL on, stages every page dirtied during the transaction on
   /// the log, appends a commit record, and fsyncs per the configured policy.

@@ -67,9 +67,9 @@ struct HttpResponse {
 /// while more bytes are needed. `head_end` caches the "\r\n\r\n" scan
 /// position across calls — pass a variable holding std::string::npos for a
 /// fresh message and reset it to npos after consuming the framed bytes.
-/// Both the worker-pool read loop and the epoll reactor frame with this, so
-/// pipelined requests split across arbitrary TCP segment boundaries are
-/// reassembled identically in either connection model.
+/// The epoll reactor frames with this as bytes arrive, so pipelined
+/// requests split across arbitrary TCP segment boundaries are reassembled
+/// exactly.
 size_t CompleteMessageBytes(std::string_view buffer, size_t* head_end);
 
 /// \brief Parses a full request (head + body) from raw bytes.

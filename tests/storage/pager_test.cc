@@ -130,7 +130,7 @@ TEST_F(PagerTest, ReadCountsTrackCacheMisses) {
     auto pager = Pager::Open(path_);
     ASSERT_TRUE(pager.ok());
     for (int i = 0; i < 3; ++i) ASSERT_TRUE((*pager)->Allocate().ok());
-    (*pager)->Publish(1);  // commit: Flush writes published bytes only
+    (*pager)->Publish(1);
     ASSERT_TRUE((*pager)->Flush().ok());
     EXPECT_EQ((*pager)->pages_written(), 3u);
     // Freshly allocated pages are cached: no reads.
@@ -161,7 +161,7 @@ TEST_F(PagerTest, ManyPagesSurviveRoundTrip) {
       page->Insert(payload);
       (*pager)->MarkDirty(*id);
     }
-    (*pager)->Publish(1);  // commit: Flush writes published bytes only
+    (*pager)->Publish(1);
     ASSERT_TRUE((*pager)->Flush().ok());
   }
   auto pager = Pager::Open(path_);
@@ -191,7 +191,7 @@ TEST_F(PagerTest, FlushPropagatesWriteErrorAndKeepsPageDirty) {
     page->Insert("page " + std::to_string(i));
     (*pager)->MarkDirty(*id);
   }
-  (*pager)->Publish(1);  // commit: Flush writes published bytes only
+  (*pager)->Publish(1);
   netmark::Status st = (*pager)->Flush();
   EXPECT_TRUE(st.IsIOError()) << st.ToString();
   EXPECT_EQ(env.faults_injected(), 1u);
@@ -228,7 +228,7 @@ TEST_F(PagerTest, ShortWriteIsCompletedNotSilentlyTruncated) {
     auto page = (*pager)->Fetch(*id);
     page->Insert("short write victim");
     (*pager)->MarkDirty(*id);
-    (*pager)->Publish(1);  // commit: Flush writes published bytes only
+    (*pager)->Publish(1);
     ASSERT_TRUE((*pager)->Flush().ok());
     EXPECT_EQ(env.faults_injected(), 1u);
   }
@@ -248,7 +248,7 @@ TEST_F(PagerTest, ChecksumRoundTripAcrossReopen) {
     auto page = (*pager)->Fetch(*id);
     page->Insert("checksummed");
     (*pager)->MarkDirty(*id);
-    (*pager)->Publish(1);  // commit: Flush writes published bytes only
+    (*pager)->Publish(1);
     ASSERT_TRUE((*pager)->Flush().ok());
   }
   // The flushed bytes carry a valid trailer...
@@ -277,7 +277,7 @@ TEST_F(PagerTest, BitFlipQuarantinesPageOnRead) {
       page->Insert("page " + std::to_string(i));
       (*pager)->MarkDirty(*id);
     }
-    (*pager)->Publish(1);  // commit: Flush writes published bytes only
+    (*pager)->Publish(1);
     ASSERT_TRUE((*pager)->Flush().ok());
   }
   FlipByte(kPageSize + 100);  // one byte of page 1's record area
@@ -306,7 +306,7 @@ TEST_F(PagerTest, VerifyOnDiskQuarantinesUncachedCorruption) {
     auto page = (*pager)->Fetch(*id);
     page->Insert("scrub target");
     (*pager)->MarkDirty(*id);
-    (*pager)->Publish(1);  // commit: Flush writes published bytes only
+    (*pager)->Publish(1);
     ASSERT_TRUE((*pager)->Flush().ok());
   }
   FlipByte(300);
@@ -334,7 +334,7 @@ TEST_F(PagerTest, VerifyOnDiskSelfHealsCachedCorruption) {
   auto page = (*pager)->Fetch(*id);
   page->Insert("healable");
   (*pager)->MarkDirty(*id);
-  (*pager)->Publish(1);  // commit: Flush writes published bytes only
+  (*pager)->Publish(1);
   ASSERT_TRUE((*pager)->Flush().ok());
 
   // Rot the on-disk copy while a clean copy is still cached: the scrubber

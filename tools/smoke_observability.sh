@@ -50,11 +50,11 @@ mkdir -p "${WORK}/data" "${WORK}/drop" "${WORK}/remote-data" "${WORK}/remote-dro
 printf 'OVERVIEW\nsmoke engine nominal\n' > "${WORK}/drop/memo.txt"
 printf 'OVERVIEW\nremote thruster anomaly\n' > "${WORK}/remote-drop/anomaly.txt"
 
-# Pin the connection model explicitly so this smoke keeps covering the
-# epoll reactor (INI plumbing included) even if the default ever changes.
+# A non-default [server] key, so the smoke covers the INI plumbing (the
+# pool-size gauge is checked below).
 cat > "${WORK}/server.ini" <<EOF
 [server]
-reactor = epoll
+worker_threads = 3
 EOF
 
 # Second instance: the remote half of the federated hop.
@@ -192,6 +192,8 @@ grep -q '^netmark_http_server_open_connections [1-9]' "${WORK}/metrics.txt" ||
   fail "open-connections gauge not exported or zero during a live scrape"
 grep -q '^netmark_http_server_epoll_wakeups_total [1-9]' "${WORK}/metrics.txt" ||
   fail "epoll wakeup counter not exported or zero"
+grep -q '^netmark_http_pool_threads 3$' "${WORK}/metrics.txt" ||
+  fail "[server] worker_threads from --config not applied"
 # MVCC gauges (docs/mvcc.md): version retention, GC watermark, reclaim work.
 grep -q '^netmark_mvcc_versions_retained ' "${WORK}/metrics.txt" ||
   fail "missing netmark_mvcc_versions_retained gauge"

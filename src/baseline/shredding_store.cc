@@ -186,13 +186,12 @@ netmark::Result<int64_t> ShreddingStore::ShredDocument(
 netmark::Result<xml::Document> ShreddingStore::Reconstruct(int64_t doc_id) {
   // Find the type.
   NETMARK_ASSIGN_OR_RETURN(
-      std::vector<RowId> doc_rows,
+      std::vector<storage::IndexedRow> doc_rows,
       docs_table_->IndexLookup("shred_docs_by_id", IndexKey{Value::Int(doc_id)}));
   if (doc_rows.empty()) {
     return netmark::Status::NotFound("no shredded document " + std::to_string(doc_id));
   }
-  NETMARK_ASSIGN_OR_RETURN(Row doc_row, docs_table_->Get(doc_rows[0]));
-  std::string type = SanitizeTag(doc_row[1].AsStr());
+  std::string type = SanitizeTag(doc_rows[0].row[1].AsStr());
 
   // Gather rows from every table of this type — the reassembly join the
   // shredding design pays at read time.
@@ -213,10 +212,10 @@ netmark::Result<xml::Document> ShreddingStore::Reconstruct(int64_t doc_id) {
     std::string table_name = "S_" + type + "__" + tag;
     NETMARK_ASSIGN_OR_RETURN(storage::Table * table, db_->GetTable(table_name));
     NETMARK_ASSIGN_OR_RETURN(
-        std::vector<RowId> rows,
+        std::vector<storage::IndexedRow> rows,
         table->IndexPrefix(table_name + "_by_doc", IndexKey{Value::Int(doc_id)}));
-    for (RowId rid : rows) {
-      NETMARK_ASSIGN_OR_RETURN(Row row, table->Get(rid));
+    for (const storage::IndexedRow& hit : rows) {
+      const Row& row = hit.row;
       Shred s;
       s.elem_id = row[kElemId].AsInt();
       s.parent = row[kParentId].AsInt();

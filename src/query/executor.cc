@@ -1,8 +1,10 @@
 #include "query/executor.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "observability/thread_trace.h"
 #include "query/plan.h"
@@ -53,30 +55,81 @@ using xmlstore::NodeRecord;
   }                                                               \
   auto lhs = std::move(*lhs##_or);
 
-netmark::Result<std::vector<RowId>> QueryExecutor::ClauseNodes(
-    const QueryClause& clause, Stats& stats) const {
+namespace {
+
+/// True once `hits` holds the query's `limit` (0 = unlimited). Every plan
+/// produces hits in answer order, so it stops here instead of building hits
+/// the answer would drop.
+bool Full(const std::vector<QueryHit>& hits, size_t limit) {
+  return limit != 0 && hits.size() >= limit;
+}
+
+}  // namespace
+
+netmark::Result<QueryExecutor::DocScope> QueryExecutor::ScopeNodes(
+    int64_t doc_id, Stats& stats) const {
+  DocScope scope;
+  auto nodes = store_->DocumentNodes(doc_id);
+  if (!nodes.ok()) {
+    if (!nodes.status().IsDataLoss()) return nodes.status();
+    ++stats.quarantined_skips;
+    store_->NoteQuarantinedDoc(doc_id);
+    return scope;
+  }
+  if (nodes->empty()) return scope;  // no such document at this snapshot
+  // Rows on pages quarantined before open are missing from the rebuilt
+  // index rather than failing; the stored node count exposes the gap (as in
+  // XmlStore::Reconstruct), and the doc's answer is marked partial.
+  NETMARK_SKIP_ON_DATALOSS(info, store_->GetDocumentInfo(doc_id), stats, {
+    store_->NoteQuarantinedDoc(doc_id);
+    return scope;
+  });
+  if (info.node_count > 0 && static_cast<int64_t>(nodes->size()) != info.node_count) {
+    ++stats.quarantined_skips;
+    store_->NoteQuarantinedDoc(doc_id);
+  }
+  scope.reserve(nodes->size());
+  for (auto& [id, rec] : *nodes) scope.emplace(id.Pack(), std::move(rec));
+  return scope;
+}
+
+netmark::Status QueryExecutor::ForEachPosting(
+    const QueryClause& clause, const DocScope* scope, Stats& stats,
+    const std::function<netmark::Status(RowId, const NodeRecord&)>& visit) const {
   ++stats.index_probes;
+  std::vector<RowId> nodes;
   if (!options_.use_text_index) {
     TextQuery single;
     single.clauses.push_back(clause);
-    return store_->TextScanMatch(single);
+    NETMARK_ASSIGN_OR_RETURN(nodes, store_->TextScanMatch(single));
+  } else {
+    std::vector<textindex::DocKey> keys;
+    switch (clause.kind) {
+      case QueryClause::Kind::kTerm:
+        keys = store_->text_index().LookupTerm(clause.words[0]);
+        break;
+      case QueryClause::Kind::kPhrase:
+        keys = store_->text_index().MatchPhrase(clause.words);
+        break;
+      case QueryClause::Kind::kPrefix:
+        keys = store_->text_index().MatchPrefix(clause.words[0]);
+        break;
+    }
+    nodes.reserve(keys.size());
+    for (textindex::DocKey key : keys) nodes.push_back(RowId::Unpack(key));
   }
-  std::vector<textindex::DocKey> keys;
-  switch (clause.kind) {
-    case QueryClause::Kind::kTerm:
-      keys = store_->text_index().LookupTerm(clause.words[0]);
-      break;
-    case QueryClause::Kind::kPhrase:
-      keys = store_->text_index().MatchPhrase(clause.words);
-      break;
-    case QueryClause::Kind::kPrefix:
-      keys = store_->text_index().MatchPrefix(clause.words[0]);
-      break;
+  for (RowId id : nodes) {
+    if (scope != nullptr) {
+      // Doc scope: the document's rows were read once up front, so a
+      // posting elsewhere costs a hash probe instead of a node read.
+      auto it = scope->find(id.Pack());
+      if (it != scope->end()) NETMARK_RETURN_NOT_OK(visit(id, it->second));
+      continue;
+    }
+    NETMARK_SKIP_STALE_OR_DATALOSS(rec, store_->GetNode(id), stats, continue);
+    NETMARK_RETURN_NOT_OK(visit(id, rec));
   }
-  std::vector<RowId> out;
-  out.reserve(keys.size());
-  for (textindex::DocKey key : keys) out.push_back(RowId::Unpack(key));
-  return out;
+  return netmark::Status::OK();
 }
 
 netmark::Result<RowId> QueryExecutor::Walk(RowId start, Stats& stats) const {
@@ -87,24 +140,22 @@ netmark::Result<RowId> QueryExecutor::Walk(RowId start, Stats& stats) const {
   return xmlstore::FindGoverningContext(*store_, start);
 }
 
-netmark::Result<bool> QueryExecutor::InsideIntense(RowId node) const {
+netmark::Result<bool> QueryExecutor::InsideIntense(const NodeRecord& node) const {
   // A text node "is emphasized" when an enclosing element within a few
   // parent hops is INTENSE-typed (<b>term</b> nests at most a couple of
   // levels in practice).
-  RowId cur = node;
-  for (int hop = 0; hop < 4; ++hop) {
-    NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, store_->GetNode(cur));
+  if (node.node_type == xml::NetmarkNodeType::kIntense) return true;
+  RowId parent = node.parent_rowid;
+  for (int hop = 0; hop < 3 && parent.valid(); ++hop) {
+    NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, store_->GetNode(parent));
     if (rec.node_type == xml::NetmarkNodeType::kIntense) return true;
-    if (!rec.parent_rowid.valid()) return false;
-    cur = rec.parent_rowid;
+    parent = rec.parent_rowid;
   }
   return false;
 }
 
-netmark::Result<std::vector<QueryHit>> QueryExecutor::ContentOnly(
-    const TextQuery& content, int64_t doc_scope, Stats& stats) const {
-  if (content.empty()) return std::vector<QueryHit>{};
-
+netmark::Result<std::vector<QueryExecutor::RankedDoc>> QueryExecutor::RankDocuments(
+    const TextQuery& content, const DocScope* scope, Stats& stats) const {
   // Per clause: matched nodes -> the documents containing them; then AND
   // across clauses at document granularity ("all documents that contain the
   // term", paper §2.1.3). Scores accumulate per matching node, with INTENSE
@@ -114,22 +165,21 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::ContentOnly(
   std::map<int64_t, RowId> first_match;  // snippet anchor per document
   bool first = true;
   for (const QueryClause& clause : content.clauses) {
-    NETMARK_ASSIGN_OR_RETURN(std::vector<RowId> nodes, ClauseNodes(clause, stats));
     std::set<int64_t> clause_docs;
-    for (RowId id : nodes) {
-      NETMARK_SKIP_STALE_OR_DATALOSS(rec, store_->GetNode(id), stats, continue);
-      if (doc_scope != 0 && rec.doc_id != doc_scope) continue;
-      clause_docs.insert(rec.doc_id);
-      first_match.emplace(rec.doc_id, id);
-      bool intense = false;
-      auto intense_or = InsideIntense(id);
-      if (intense_or.ok()) {
-        intense = *intense_or;
-      } else if (!intense_or.status().IsDataLoss()) {
-        return intense_or.status();
-      }  // quarantined ancestor: score without the emphasis boost
-      scores[rec.doc_id] += intense ? 2.0 : 1.0;
-    }
+    NETMARK_RETURN_NOT_OK(ForEachPosting(
+        clause, scope, stats, [&](RowId id, const NodeRecord& rec) -> netmark::Status {
+          clause_docs.insert(rec.doc_id);
+          first_match.emplace(rec.doc_id, id);
+          bool intense = false;
+          auto intense_or = InsideIntense(rec);
+          if (intense_or.ok()) {
+            intense = *intense_or;
+          } else if (!intense_or.status().IsDataLoss()) {
+            return intense_or.status();
+          }  // quarantined ancestor: score without the emphasis boost
+          scores[rec.doc_id] += intense ? 2.0 : 1.0;
+          return netmark::Status::OK();
+        }));
     if (first) {
       docs = std::move(clause_docs);
       first = false;
@@ -142,151 +192,90 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::ContentOnly(
     if (docs.empty()) break;
   }
 
-  std::vector<QueryHit> hits;
+  std::vector<RankedDoc> ranked;
+  ranked.reserve(docs.size());
   for (int64_t doc_id : docs) {
-    NETMARK_SKIP_ON_DATALOSS(info, store_->GetDocumentInfo(doc_id), stats, {
-      store_->NoteQuarantinedDoc(doc_id);
+    ranked.push_back(RankedDoc{doc_id, scores[doc_id], first_match[doc_id]});
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const RankedDoc& a, const RankedDoc& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.doc_id < b.doc_id;
+  });
+  return ranked;
+}
+
+netmark::Result<std::vector<QueryHit>> QueryExecutor::ContentOnly(
+    const TextQuery& content, const DocScope* scope, size_t limit,
+    Stats& stats) const {
+  NETMARK_ASSIGN_OR_RETURN(std::vector<RankedDoc> ranked,
+                           RankDocuments(content, scope, stats));
+
+  // Documents arrive in answer order (score desc, doc_id asc): assemble
+  // snippets only for the ones the answer keeps.
+  std::vector<QueryHit> hits;
+  for (const RankedDoc& doc : ranked) {
+    if (Full(hits, limit)) break;
+    NETMARK_SKIP_ON_DATALOSS(info, store_->GetDocumentInfo(doc.doc_id), stats, {
+      store_->NoteQuarantinedDoc(doc.doc_id);
       continue;
     });
     QueryHit hit;
-    hit.doc_id = doc_id;
+    hit.doc_id = doc.doc_id;
     hit.file_name = info.file_name;
-    hit.score = scores[doc_id];
+    hit.score = doc.score;
     // Snippet: the heading of the section the (first) match sits in, plus a
     // truncated slice of the matching node's text — enough for a result
     // list. Assembly is best-effort: a quarantined page costs the snippet,
     // not the hit.
-    auto anchor = first_match.find(doc_id);
-    if (anchor != first_match.end()) {
-      bool snippet_loss = false;
-      auto ctx = Walk(anchor->second, stats);
-      if (!ctx.ok() && !ctx.status().IsDataLoss()) return ctx.status();
-      if (ctx.ok() && ctx->valid()) {
-        auto heading = store_->SubtreeText(*ctx);
-        if (!heading.ok() && !heading.status().IsDataLoss()) {
-          return heading.status();
-        }
-        if (heading.ok()) hit.heading = std::move(*heading);
-        snippet_loss |= !heading.ok();
+    bool snippet_loss = false;
+    auto ctx = Walk(doc.anchor, stats);
+    if (!ctx.ok() && !ctx.status().IsDataLoss()) return ctx.status();
+    if (ctx.ok() && ctx->valid()) {
+      auto heading = store_->SubtreeText(*ctx);
+      if (!heading.ok() && !heading.status().IsDataLoss()) {
+        return heading.status();
       }
-      auto rec = store_->GetNode(anchor->second);
-      if (!rec.ok() && !rec.status().IsDataLoss()) return rec.status();
-      if (rec.ok()) {
-        constexpr size_t kSnippetChars = 160;
-        hit.text = rec->node_data.substr(0, kSnippetChars);
-      }
-      snippet_loss |= !ctx.ok() || !rec.ok();
-      if (snippet_loss) {
-        ++stats.quarantined_skips;
-        store_->NoteQuarantinedDoc(doc_id);
-      }
+      if (heading.ok()) hit.heading = std::move(*heading);
+      snippet_loss |= !heading.ok();
+    }
+    auto rec = store_->GetNode(doc.anchor);
+    if (!rec.ok() && !rec.status().IsDataLoss()) return rec.status();
+    if (rec.ok()) {
+      constexpr size_t kSnippetChars = 160;
+      hit.text = rec->node_data.substr(0, kSnippetChars);
+    }
+    snippet_loss |= !ctx.ok() || !rec.ok();
+    if (snippet_loss) {
+      ++stats.quarantined_skips;
+      store_->NoteQuarantinedDoc(doc.doc_id);
     }
     hits.push_back(std::move(hit));
   }
-  std::stable_sort(hits.begin(), hits.end(), [](const QueryHit& a, const QueryHit& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.doc_id < b.doc_id;
-  });
   return hits;
 }
 
 netmark::Result<std::vector<QueryHit>> QueryExecutor::SectionQuery(
-    const QueryPlan& plan, const XdbQuery& query, Stats& stats) const {
-  const TextQuery& context_query = plan.context_query;
-  if (context_query.empty()) return std::vector<QueryHit>{};
+    const QueryPlan& plan, const XdbQuery& query, const DocScope* scope,
+    Stats& stats) const {
+  if (plan.context_query.empty()) return std::vector<QueryHit>{};
 
   // Candidate contexts: sections whose governing heading we must verify.
   // With a content key, candidates come from content hits; otherwise from
-  // hits on the heading text itself.
+  // hits on the heading text itself. Per clause: postings probe -> RowId
+  // walk to the governing CONTEXT -> intersect at section granularity.
+  const TextQuery& seed =
+      query.has_content() ? plan.content_query : plan.context_query;
   std::set<uint64_t> candidates;  // packed context RowIds
-  const TextQuery& content_query = plan.content_query;
-  const TextQuery& seed = query.has_content() ? content_query : context_query;
-
   bool first = true;
   for (const QueryClause& clause : seed.clauses) {
-    NETMARK_ASSIGN_OR_RETURN(std::vector<RowId> nodes, ClauseNodes(clause, stats));
     std::set<uint64_t> clause_contexts;
-    for (RowId node : nodes) {
-      NETMARK_SKIP_STALE_OR_DATALOSS(rec, store_->GetNode(node), stats, continue);
-      if (query.doc_id != 0 && rec.doc_id != query.doc_id) continue;
-      NETMARK_SKIP_ON_DATALOSS(ctx, Walk(node, stats), stats, continue);
-      if (ctx.valid()) clause_contexts.insert(ctx.Pack());
-    }
-    if (first) {
-      candidates = std::move(clause_contexts);
-      first = false;
-    } else {
-      std::set<uint64_t> merged;
-      std::set_intersection(candidates.begin(), candidates.end(),
-                            clause_contexts.begin(), clause_contexts.end(),
-                            std::inserter(merged, merged.end()));
-      candidates = std::move(merged);
-    }
-    if (candidates.empty()) break;
-  }
-
-  // Verify headings and assemble sections.
-  std::vector<std::pair<std::pair<int64_t, int64_t>, QueryHit>> ordered;
-  for (uint64_t packed : candidates) {
-    RowId ctx = RowId::Unpack(packed);
-    NETMARK_SKIP_ON_DATALOSS(section, xmlstore::BuildSection(*store_, ctx),
-                             stats, continue);
-    if (!textindex::Matches(context_query, section.heading)) continue;
-    NETMARK_SKIP_ON_DATALOSS(body, xmlstore::SectionText(*store_, ctx), stats, {
-      store_->NoteQuarantinedDoc(section.doc_id);
-      continue;
-    });
-    // With a content key, the *section body* (or heading) must satisfy it.
-    if (query.has_content()) {
-      std::string scope = section.heading + " " + body;
-      if (!textindex::Matches(content_query, scope)) continue;
-    }
-    ++stats.sections_built;
-    NETMARK_SKIP_ON_DATALOSS(info, store_->GetDocumentInfo(section.doc_id),
-                             stats, {
-                               store_->NoteQuarantinedDoc(section.doc_id);
-                               continue;
-                             });
-    NETMARK_SKIP_ON_DATALOSS(head, store_->GetNode(ctx), stats, {
-      store_->NoteQuarantinedDoc(section.doc_id);
-      continue;
-    });
-    QueryHit hit;
-    hit.doc_id = section.doc_id;
-    hit.file_name = info.file_name;
-    hit.context = ctx;
-    hit.heading = std::move(section.heading);
-    hit.text = std::move(body);
-    ordered.push_back({{section.doc_id, head.node_id}, std::move(hit)});
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<QueryHit> hits;
-  hits.reserve(ordered.size());
-  for (auto& [key, hit] : ordered) hits.push_back(std::move(hit));
-  return hits;
-}
-
-netmark::Result<std::vector<QueryHit>> QueryExecutor::SectionQuerySpecialized(
-    const QueryPlan& plan, const XdbQuery& query, Stats& stats) const {
-  if (plan.context_query.empty()) return std::vector<QueryHit>{};
-
-  // One loop per content term: postings probe -> RowId walk to the
-  // governing CONTEXT -> intersect at section granularity. A section that
-  // survives the intersection contains every content term (in its heading
-  // or body), so the content predicate is already proven — no second
-  // full-text pass over the section body.
-  std::set<uint64_t> candidates;  // packed context RowIds
-  bool first = true;
-  for (const QueryClause& clause : plan.content_query.clauses) {
-    NETMARK_ASSIGN_OR_RETURN(std::vector<RowId> nodes, ClauseNodes(clause, stats));
-    std::set<uint64_t> clause_contexts;
-    for (RowId node : nodes) {
-      NETMARK_SKIP_STALE_OR_DATALOSS(rec, store_->GetNode(node), stats, continue);
-      if (query.doc_id != 0 && rec.doc_id != query.doc_id) continue;
-      NETMARK_SKIP_ON_DATALOSS(ctx, Walk(node, stats), stats, continue);
-      if (ctx.valid()) clause_contexts.insert(ctx.Pack());
-    }
+    NETMARK_RETURN_NOT_OK(ForEachPosting(
+        clause, scope, stats, [&](RowId node, const NodeRecord&) -> netmark::Status {
+          NETMARK_SKIP_ON_DATALOSS(ctx, Walk(node, stats), stats,
+                                   return netmark::Status::OK());
+          if (ctx.valid()) clause_contexts.insert(ctx.Pack());
+          return netmark::Status::OK();
+        }));
     if (first) {
       candidates = std::move(clause_contexts);
       first = false;
@@ -300,55 +289,76 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::SectionQuerySpecialized(
     if (candidates.empty()) return std::vector<QueryHit>{};
   }
 
-  // Heading-only verification + section assembly (body text built once,
-  // straight into the hit).
-  std::vector<std::pair<std::pair<int64_t, int64_t>, QueryHit>> ordered;
+  // The specialized plan seeds from plain content terms only, so a section
+  // that survives the intersection contains every term in its heading or
+  // body: the content predicate is proven and only the heading is checked.
+  // The generic path re-verifies the content key over heading + body.
+  const bool verify_content =
+      query.has_content() && !(plan.kind == QueryPlan::Kind::kSectionSpecialized &&
+                               options_.use_specialized_section_plan);
+
+  // Answer order is the heading's (doc_id, node_id): read each candidate's
+  // head row once for that key, sort, then build sections in answer order
+  // until the limit is reached.
+  struct Candidate {
+    int64_t doc_id;
+    int64_t node_id;
+    RowId context;
+  };
+  std::vector<Candidate> ordered;
+  ordered.reserve(candidates.size());
   for (uint64_t packed : candidates) {
     RowId ctx = RowId::Unpack(packed);
+    NETMARK_SKIP_ON_DATALOSS(head, store_->GetNode(ctx), stats, continue);
+    ordered.push_back(Candidate{head.doc_id, head.node_id, ctx});
+  }
+  std::sort(ordered.begin(), ordered.end(), [](const Candidate& a, const Candidate& b) {
+    return std::tie(a.doc_id, a.node_id) < std::tie(b.doc_id, b.node_id);
+  });
+
+  std::vector<QueryHit> hits;
+  for (const Candidate& candidate : ordered) {
+    if (Full(hits, query.limit)) break;
+    const RowId ctx = candidate.context;
     NETMARK_SKIP_ON_DATALOSS(section, xmlstore::BuildSection(*store_, ctx),
                              stats, continue);
     if (!textindex::Matches(plan.context_query, section.heading)) continue;
+    NETMARK_SKIP_ON_DATALOSS(body, xmlstore::SectionText(*store_, ctx), stats, {
+      store_->NoteQuarantinedDoc(section.doc_id);
+      continue;
+    });
+    if (verify_content &&
+        !textindex::Matches(plan.content_query, section.heading + " " + body)) {
+      continue;
+    }
     ++stats.sections_built;
     NETMARK_SKIP_ON_DATALOSS(info, store_->GetDocumentInfo(section.doc_id),
                              stats, {
                                store_->NoteQuarantinedDoc(section.doc_id);
                                continue;
                              });
-    NETMARK_SKIP_ON_DATALOSS(head, store_->GetNode(ctx), stats, {
-      store_->NoteQuarantinedDoc(section.doc_id);
-      continue;
-    });
-    NETMARK_SKIP_ON_DATALOSS(body, xmlstore::SectionText(*store_, ctx), stats, {
-      store_->NoteQuarantinedDoc(section.doc_id);
-      continue;
-    });
     QueryHit hit;
     hit.doc_id = section.doc_id;
     hit.file_name = info.file_name;
     hit.context = ctx;
     hit.heading = std::move(section.heading);
     hit.text = std::move(body);
-    ordered.push_back({{section.doc_id, head.node_id}, std::move(hit)});
+    hits.push_back(std::move(hit));
   }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<QueryHit> hits;
-  hits.reserve(ordered.size());
-  for (auto& [key, hit] : ordered) hits.push_back(std::move(hit));
   return hits;
 }
 
 netmark::Result<std::vector<QueryHit>> QueryExecutor::XPathQuery(
-    const QueryPlan& plan, const XdbQuery& query, Stats& stats) const {
+    const QueryPlan& plan, const XdbQuery& query, const DocScope* scope,
+    Stats& stats) const {
   // Candidate documents: content-key pre-selection when given, else the doc
   // scope, else the whole collection (XPath has no index; the content key is
   // how users keep this selective).
   std::vector<int64_t> docs;
   if (query.has_content()) {
-    NETMARK_ASSIGN_OR_RETURN(
-        std::vector<QueryHit> doc_hits,
-        ContentOnly(plan.content_query, query.doc_id, stats));
-    for (const QueryHit& hit : doc_hits) docs.push_back(hit.doc_id);
+    NETMARK_ASSIGN_OR_RETURN(std::vector<RankedDoc> ranked,
+                             RankDocuments(plan.content_query, scope, stats));
+    for (const RankedDoc& doc : ranked) docs.push_back(doc.doc_id);
     std::sort(docs.begin(), docs.end());
   } else if (query.doc_id != 0) {
     docs.push_back(query.doc_id);
@@ -360,6 +370,7 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::XPathQuery(
 
   std::vector<QueryHit> hits;
   for (int64_t doc_id : docs) {
+    if (Full(hits, query.limit)) break;
     NETMARK_SKIP_ON_DATALOSS(info, store_->GetDocumentInfo(doc_id), stats, {
       store_->NoteQuarantinedDoc(doc_id);
       continue;
@@ -369,6 +380,7 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::XPathQuery(
       continue;
     });
     for (xml::NodeId node : plan.xpath->SelectNodes(doc, doc.root())) {
+      if (Full(hits, query.limit)) break;
       QueryHit hit;
       hit.doc_id = doc_id;
       hit.file_name = info.file_name;
@@ -425,22 +437,27 @@ netmark::Result<std::shared_ptr<const QueryPlan>> QueryExecutor::GetPlan(
 
 netmark::Result<std::vector<QueryHit>> QueryExecutor::RunPlan(
     const QueryPlan& plan, const XdbQuery& query, Stats& stats) const {
+  // Doc scope: read the document's rows once and intersect every clause's
+  // postings with them. XPath without a content key reconstructs the one
+  // document directly and needs no postings filter.
+  DocScope scope;
+  const DocScope* scoped = nullptr;
+  if (query.doc_id != 0 &&
+      (plan.kind != QueryPlan::Kind::kXPath || query.has_content())) {
+    NETMARK_ASSIGN_OR_RETURN(scope, ScopeNodes(query.doc_id, stats));
+    if (scope.empty()) return std::vector<QueryHit>{};
+    scoped = &scope;
+  }
   switch (plan.kind) {
     case QueryPlan::Kind::kXPath:
-      return XPathQuery(plan, query, stats);
+      return XPathQuery(plan, query, scoped, stats);
     case QueryPlan::Kind::kSectionSpecialized:
-      // The specialized plan carries the same parsed queries, so the
-      // generic path can run it too (the ablation/equivalence knob).
-      if (!options_.use_specialized_section_plan) {
-        return SectionQuery(plan, query, stats);
-      }
-      return SectionQuerySpecialized(plan, query, stats);
     case QueryPlan::Kind::kSection:
-      return SectionQuery(plan, query, stats);
+      return SectionQuery(plan, query, scoped, stats);
     case QueryPlan::Kind::kContentOnly:
       break;
   }
-  return ContentOnly(plan.content_query, query.doc_id, stats);
+  return ContentOnly(plan.content_query, scoped, query.limit, stats);
 }
 
 netmark::Result<std::vector<QueryHit>> QueryExecutor::ExecuteUnderSnapshot(
@@ -480,9 +497,6 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::ExecuteUnderSnapshot(
                            GetPlan(query, local));
   NETMARK_ASSIGN_OR_RETURN(std::vector<QueryHit> hits,
                            RunPlan(*plan, query, local));
-  if (query.limit != 0 && hits.size() > query.limit) {
-    hits.resize(query.limit);
-  }
   if (use_cache) {
     result_cache_->Insert(
         cache_key, epoch,

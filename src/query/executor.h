@@ -1,7 +1,8 @@
 // XDB query execution over an XmlStore (paper §2.1.4).
 //
 // Pipeline: plan lookup/compile -> (result-cache consult) -> text-index
-// probe -> RowId context walks -> heading filter -> section assembly.
+// probe -> RowId context walks -> heading filter -> section assembly, in
+// answer order and only until the query's limit is reached.
 // Content-only queries return whole documents; context queries (with or
 // without content) return sections.
 //
@@ -16,8 +17,10 @@
 #ifndef NETMARK_QUERY_EXECUTOR_H_
 #define NETMARK_QUERY_EXECUTOR_H_
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -65,6 +68,7 @@ class QueryExecutor {
   struct Stats {
     size_t index_probes = 0;
     size_t nodes_walked = 0;
+    /// Sections assembled into the answer (at most the query's limit).
     size_t sections_built = 0;
     /// 1 when this call was answered from the result cache (all other
     /// counters then stay 0 — no execution happened).
@@ -72,7 +76,8 @@ class QueryExecutor {
     /// 1 when the plan came from the plan cache instead of being compiled.
     size_t plan_cache_hits = 0;
     /// Reads that hit a quarantined (checksum-failed) page and were skipped
-    /// instead of failing the query; >0 means the answer may be partial.
+    /// instead of failing the query; >0 means a candidate that could rank
+    /// within the limit was lost, so the answer may be partial.
     size_t quarantined_skips = 0;
   };
 
@@ -94,8 +99,9 @@ class QueryExecutor {
   void set_plan_cache(QueryPlanCache* cache) { plan_cache_ = cache; }
 
   /// Runs the query under a self-acquired ReadSnapshot; hits are ordered by
-  /// (doc_id, position). Do not call while already holding a snapshot on
-  /// this thread — use the snapshot overload instead.
+  /// (doc_id, position), document-level hits by score, and only the first
+  /// `query.limit` are built. Do not call while already holding a snapshot
+  /// on this thread — use the snapshot overload instead.
   netmark::Result<std::vector<QueryHit>> Execute(const XdbQuery& query,
                                                  Stats* stats = nullptr) const;
 
@@ -115,22 +121,51 @@ class QueryExecutor {
   netmark::Result<std::vector<QueryHit>> RunPlan(const QueryPlan& plan,
                                                  const XdbQuery& query,
                                                  Stats& stats) const;
-  netmark::Result<std::vector<storage::RowId>> ClauseNodes(
-      const textindex::QueryClause& clause, Stats& stats) const;
+  /// The nodes of a `doc=` document keyed by packed RowId: every clause's
+  /// postings are intersected with it before any node is read.
+  using DocScope = std::unordered_map<uint64_t, xmlstore::NodeRecord>;
+  /// A content-query document in answer order, with its snippet anchor.
+  struct RankedDoc {
+    int64_t doc_id;
+    double score;
+    storage::RowId anchor;
+  };
+
+  /// Reads the rows of document `doc_id` at the snapshot. Empty when the
+  /// document does not exist or its node list is quarantined.
+  netmark::Result<DocScope> ScopeNodes(int64_t doc_id, Stats& stats) const;
+  /// Calls `visit` for each TEXT node matching `clause` (text index, or a
+  /// full scan without it) that is visible at the snapshot and inside
+  /// `scope` (unless null). Rows are visited one at a time, never collected:
+  /// a common term has thousands of postings.
+  netmark::Status ForEachPosting(
+      const textindex::QueryClause& clause, const DocScope* scope, Stats& stats,
+      const std::function<netmark::Status(storage::RowId,
+                                          const xmlstore::NodeRecord&)>& visit) const;
   /// True when `node` sits under INTENSE markup (emphasis-boosted scoring).
-  netmark::Result<bool> InsideIntense(storage::RowId node) const;
-  netmark::Result<std::vector<QueryHit>> ContentOnly(
-      const textindex::TextQuery& content, int64_t doc_scope,
+  netmark::Result<bool> InsideIntense(const xmlstore::NodeRecord& node) const;
+  /// Scores every document matching all content clauses; sorted by (score
+  /// desc, doc_id asc).
+  netmark::Result<std::vector<RankedDoc>> RankDocuments(
+      const textindex::TextQuery& content, const DocScope* scope,
       Stats& stats) const;
+  /// Document-level hits with snippets, built for the first `limit` ranked
+  /// documents only (0 = all).
+  netmark::Result<std::vector<QueryHit>> ContentOnly(
+      const textindex::TextQuery& content, const DocScope* scope, size_t limit,
+      Stats& stats) const;
+  /// Context, and context+content, queries: candidate sections from the
+  /// postings, then sections built in (doc_id, node_id) order until
+  /// `query.limit` pass verification. For a kSectionSpecialized plan (and
+  /// `use_specialized_section_plan`) only the heading is verified; the
+  /// generic path re-checks the content key over heading + body.
   netmark::Result<std::vector<QueryHit>> SectionQuery(const QueryPlan& plan,
                                                       const XdbQuery& query,
+                                                      const DocScope* scope,
                                                       Stats& stats) const;
-  /// The compiled context+content fast path: one postings-intersection +
-  /// RowId-walk loop at section granularity, heading-only verification.
-  netmark::Result<std::vector<QueryHit>> SectionQuerySpecialized(
-      const QueryPlan& plan, const XdbQuery& query, Stats& stats) const;
   netmark::Result<std::vector<QueryHit>> XPathQuery(const QueryPlan& plan,
                                                     const XdbQuery& query,
+                                                    const DocScope* scope,
                                                     Stats& stats) const;
   netmark::Result<storage::RowId> Walk(storage::RowId start, Stats& stats) const;
 

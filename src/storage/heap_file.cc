@@ -166,17 +166,17 @@ netmark::Result<RowId> HeapFile::Insert(std::string_view record) {
   return id;
 }
 
-netmark::Result<RowId> HeapFile::Resolve(RowId id, Epoch epoch) const {
+netmark::Result<HeapFile::Located> HeapFile::Resolve(RowId id,
+                                                    Epoch epoch) const {
   RowId cur = id;
   for (int hops = 0; hops < 64; ++hops) {
     NETMARK_ASSIGN_OR_RETURN(PageRef ref, pager_->FetchAt(cur.page, epoch));
-    Page page = ref.page();
-    std::string_view rec = page.Get(cur.slot);
+    std::string_view rec = ref.page().Get(cur.slot);
     if (rec.empty()) {
       return netmark::Status::NotFound("no record at " + id.ToString());
     }
     uint8_t flags = static_cast<uint8_t>(rec[0]);
-    if ((flags & kForwardFlag) == 0) return cur;
+    if ((flags & kForwardFlag) == 0) return Located{cur, std::move(ref)};
     if (rec.size() != 9) return netmark::Status::Corruption("bad forward record");
     uint64_t packed;
     std::memcpy(&packed, rec.data() + 1, 8);
@@ -186,10 +186,8 @@ netmark::Result<RowId> HeapFile::Resolve(RowId id, Epoch epoch) const {
 }
 
 netmark::Result<std::string> HeapFile::Get(RowId id, Epoch epoch) const {
-  NETMARK_ASSIGN_OR_RETURN(RowId loc, Resolve(id, epoch));
-  NETMARK_ASSIGN_OR_RETURN(PageRef ref, pager_->FetchAt(loc.page, epoch));
-  Page page = ref.page();
-  std::string_view rec = page.Get(loc.slot);
+  NETMARK_ASSIGN_OR_RETURN(Located at, Resolve(id, epoch));
+  std::string_view rec = at.ref.page().Get(at.slot.slot);
   uint8_t flags = static_cast<uint8_t>(rec[0]);
   if (flags & kOverflowFlag) return ReadOverflow(rec.substr(1), epoch);
   return std::string(rec.substr(1));
@@ -201,7 +199,8 @@ bool HeapFile::Exists(RowId id, Epoch epoch) const {
 }
 
 netmark::Status HeapFile::Update(RowId id, std::string_view record) {
-  NETMARK_ASSIGN_OR_RETURN(RowId loc, Resolve(id, kWriterEpoch));
+  NETMARK_ASSIGN_OR_RETURN(Located at, Resolve(id, kWriterEpoch));
+  const RowId loc = at.slot;
   NETMARK_ASSIGN_OR_RETURN(Page page, pager_->Fetch(loc.page));
   std::string_view old = page.Get(loc.slot);
   uint8_t old_flags = static_cast<uint8_t>(old[0]);
@@ -252,7 +251,8 @@ netmark::Status HeapFile::Update(RowId id, std::string_view record) {
 }
 
 netmark::Status HeapFile::Delete(RowId id) {
-  NETMARK_ASSIGN_OR_RETURN(RowId loc, Resolve(id, kWriterEpoch));
+  NETMARK_ASSIGN_OR_RETURN(Located at, Resolve(id, kWriterEpoch));
+  const RowId loc = at.slot;
   NETMARK_ASSIGN_OR_RETURN(Page page, pager_->Fetch(loc.page));
   page.Delete(loc.slot);
   pager_->MarkDirty(loc.page);

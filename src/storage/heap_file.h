@@ -97,8 +97,14 @@ class HeapFile {
   netmark::Result<std::string> ReadOverflow(std::string_view payload,
                                             Epoch epoch) const;
   netmark::Result<std::string> WriteOverflowPayload(std::string_view record);
-  /// Follows forward pointers from `id` to the slot holding the data.
-  netmark::Result<RowId> Resolve(RowId id, Epoch epoch) const;
+  /// The slot holding a record's data, with the page version read there.
+  struct Located {
+    RowId slot;
+    PageRef ref;
+  };
+  /// Follows forward pointers from `id` to the slot holding the data; the
+  /// returned PageRef lets Get read the record without a second fetch.
+  netmark::Result<Located> Resolve(RowId id, Epoch epoch) const;
 
   Pager* pager_;
   PageId tail_ = kInvalidPage;  // current append page

@@ -136,10 +136,10 @@ std::vector<IndexDef> Table::IndexDefs() const {
   return out;
 }
 
-netmark::Result<std::vector<RowId>> Table::VerifyCandidates(
+netmark::Result<std::vector<IndexedRow>> Table::VerifyCandidates(
     const Index& index, std::vector<RowId> candidates, Epoch epoch,
     const std::function<bool(const IndexKey&)>& matches) const {
-  std::vector<RowId> out;
+  std::vector<IndexedRow> out;
   out.reserve(candidates.size());
   for (RowId id : candidates) {
     auto row_or = Get(id, epoch);
@@ -150,14 +150,15 @@ netmark::Result<std::vector<RowId>> Table::VerifyCandidates(
       if (row_or.status().IsNotFound()) continue;
       return row_or.status();
     }
-    if (matches(ExtractKey(index, *row_or))) out.push_back(id);
+    if (matches(ExtractKey(index, *row_or))) {
+      out.push_back(IndexedRow{id, std::move(*row_or)});
+    }
   }
   return out;
 }
 
-netmark::Result<std::vector<RowId>> Table::IndexLookup(const std::string& index,
-                                                       const IndexKey& key,
-                                                       Epoch epoch) const {
+netmark::Result<std::vector<IndexedRow>> Table::IndexLookup(
+    const std::string& index, const IndexKey& key, Epoch epoch) const {
   auto it = indexes_.find(index);
   if (it == indexes_.end()) {
     return netmark::Status::NotFound("no index " + index + " on " + schema_.name());
@@ -173,10 +174,9 @@ netmark::Result<std::vector<RowId>> Table::IndexLookup(const std::string& index,
                           });
 }
 
-netmark::Result<std::vector<RowId>> Table::IndexRange(const std::string& index,
-                                                      const IndexKey& lo,
-                                                      const IndexKey& hi,
-                                                      Epoch epoch) const {
+netmark::Result<std::vector<IndexedRow>> Table::IndexRange(
+    const std::string& index, const IndexKey& lo, const IndexKey& hi,
+    Epoch epoch) const {
   auto it = indexes_.find(index);
   if (it == indexes_.end()) {
     return netmark::Status::NotFound("no index " + index + " on " + schema_.name());
@@ -193,9 +193,8 @@ netmark::Result<std::vector<RowId>> Table::IndexRange(const std::string& index,
                           });
 }
 
-netmark::Result<std::vector<RowId>> Table::IndexPrefix(const std::string& index,
-                                                       const IndexKey& prefix,
-                                                       Epoch epoch) const {
+netmark::Result<std::vector<IndexedRow>> Table::IndexPrefix(
+    const std::string& index, const IndexKey& prefix, Epoch epoch) const {
   auto it = indexes_.find(index);
   if (it == indexes_.end()) {
     return netmark::Status::NotFound("no index " + index + " on " + schema_.name());

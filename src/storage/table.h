@@ -33,6 +33,12 @@ struct IndexDef {
   std::vector<std::string> columns;
 };
 
+/// A row an index lookup found and verified, with its address.
+struct IndexedRow {
+  RowId id;
+  Row row;
+};
+
 /// \brief One relational table: typed rows addressed by RowId.
 class Table {
  public:
@@ -65,19 +71,19 @@ class Table {
   std::vector<IndexDef> IndexDefs() const;
 
   /// Exact-match lookup on an index. Every candidate is verified
-  /// against the heap at `epoch` (see the file comment).
-  netmark::Result<std::vector<RowId>> IndexLookup(const std::string& index,
-                                                  const IndexKey& key,
-                                                  Epoch epoch = kLatestEpoch) const;
+  /// against the heap at `epoch` (see the file comment); the rows read for
+  /// that come back with their RowIds, so callers need no second Get.
+  netmark::Result<std::vector<IndexedRow>> IndexLookup(
+      const std::string& index, const IndexKey& key,
+      Epoch epoch = kLatestEpoch) const;
   /// Inclusive range lookup on an index.
-  netmark::Result<std::vector<RowId>> IndexRange(const std::string& index,
-                                                 const IndexKey& lo,
-                                                 const IndexKey& hi,
-                                                 Epoch epoch = kLatestEpoch) const;
+  netmark::Result<std::vector<IndexedRow>> IndexRange(
+      const std::string& index, const IndexKey& lo, const IndexKey& hi,
+      Epoch epoch = kLatestEpoch) const;
   /// Prefix lookup (first k components equal) on an index.
-  netmark::Result<std::vector<RowId>> IndexPrefix(const std::string& index,
-                                                  const IndexKey& prefix,
-                                                  Epoch epoch = kLatestEpoch) const;
+  netmark::Result<std::vector<IndexedRow>> IndexPrefix(
+      const std::string& index, const IndexKey& prefix,
+      Epoch epoch = kLatestEpoch) const;
 
   /// MVCC commit hook: stamps every queued index removal with the commit's
   /// epoch, making it eligible for ApplyPendingRemovals once no reader pins
@@ -126,10 +132,10 @@ class Table {
   netmark::Status IndexInsert(const Row& row, RowId id);
   /// Queues removal of (key, id) from `name` (applied by the GC).
   void DeferRemoval(const std::string& name, IndexKey key, RowId id);
-  /// Re-reads each candidate at `epoch` and keeps those whose extracted key
-  /// satisfies `matches`. NotFound candidates are dropped; other errors
-  /// propagate.
-  netmark::Result<std::vector<RowId>> VerifyCandidates(
+  /// Re-reads each candidate at `epoch` and keeps those (with their rows)
+  /// whose extracted key satisfies `matches`. NotFound candidates are
+  /// dropped; other errors propagate.
+  netmark::Result<std::vector<IndexedRow>> VerifyCandidates(
       const Index& index, std::vector<RowId> candidates, Epoch epoch,
       const std::function<bool(const IndexKey&)>& matches) const;
 

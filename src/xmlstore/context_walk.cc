@@ -39,15 +39,11 @@ netmark::Result<RowId> FindGoverningContextViaIndex(const XmlStore& store,
     // Find the previous sibling via an index join on the parent's children.
     RowId prev = storage::kInvalidRowId;
     if (rec.parent_node_id != 0) {
-      NETMARK_ASSIGN_OR_RETURN(std::vector<RowId> siblings,
-                               store.NodesWithParent(rec.parent_node_id));
-      int64_t best = -1;
-      for (RowId sid : siblings) {
-        NETMARK_ASSIGN_OR_RETURN(NodeRecord s, store.GetNode(sid));
-        if (s.node_id < rec.node_id && s.node_id > best) {
-          best = s.node_id;
-          prev = sid;
-        }
+      NETMARK_ASSIGN_OR_RETURN(std::vector<StoredNode> siblings,
+                               store.Children(rec.parent_node_id));
+      for (const auto& [sid, s] : siblings) {
+        if (s.node_id >= rec.node_id) break;  // document order
+        prev = sid;
       }
     }
     if (prev.valid()) {

@@ -459,20 +459,29 @@ netmark::Result<int64_t> XmlStore::InsertPreparedLocked(const PreparedDocument& 
   return doc_id;
 }
 
-netmark::Result<std::vector<std::pair<RowId, NodeRecord>>> XmlStore::DocumentNodes(
-    int64_t doc_id) const {
-  const storage::Epoch epoch = ResolveReadEpoch();
-  NETMARK_ASSIGN_OR_RETURN(
-      std::vector<RowId> rowids,
-      xml_table_->IndexPrefix("xml_by_doc", IndexKey{Value::Int(doc_id)}, epoch));
-  std::vector<std::pair<RowId, NodeRecord>> out;
-  out.reserve(rowids.size());
-  for (RowId id : rowids) {
-    NETMARK_ASSIGN_OR_RETURN(Row row, xml_table_->Get(id, epoch));
-    NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, NodeRecord::FromRow(row));
-    out.emplace_back(id, std::move(rec));
+namespace {
+
+// Decodes the node rows an XML-table index lookup verified.
+netmark::Result<std::vector<StoredNode>> DecodeNodes(
+    const std::vector<storage::IndexedRow>& rows) {
+  std::vector<StoredNode> out;
+  out.reserve(rows.size());
+  for (const storage::IndexedRow& hit : rows) {
+    NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, NodeRecord::FromRow(hit.row));
+    out.emplace_back(hit.id, std::move(rec));
   }
   return out;
+}
+
+}  // namespace
+
+netmark::Result<std::vector<StoredNode>> XmlStore::DocumentNodes(
+    int64_t doc_id) const {
+  NETMARK_ASSIGN_OR_RETURN(
+      std::vector<storage::IndexedRow> rows,
+      xml_table_->IndexPrefix("xml_by_doc", IndexKey{Value::Int(doc_id)},
+                              ResolveReadEpoch()));
+  return DecodeNodes(rows);
 }
 
 netmark::Status XmlStore::DeleteDocument(int64_t doc_id) {
@@ -496,30 +505,29 @@ netmark::Status XmlStore::DeleteDocumentLocked(int64_t doc_id) {
     NETMARK_RETURN_NOT_OK(xml_table_->Delete(rowid));
   }
   NETMARK_ASSIGN_OR_RETURN(
-      std::vector<RowId> doc_rows,
+      std::vector<storage::IndexedRow> doc_rows,
       doc_table_->IndexLookup("doc_by_id", IndexKey{Value::Int(doc_id)},
                               ResolveReadEpoch()));
   if (doc_rows.empty()) {
     return netmark::Status::NotFound(
         netmark::StringPrintf("no document %lld", static_cast<long long>(doc_id)));
   }
-  for (RowId id : doc_rows) {
-    NETMARK_RETURN_NOT_OK(doc_table_->Delete(id));
+  for (const storage::IndexedRow& hit : doc_rows) {
+    NETMARK_RETURN_NOT_OK(doc_table_->Delete(hit.id));
   }
   return netmark::Status::OK();
 }
 
 netmark::Result<DocRecord> XmlStore::GetDocumentInfo(int64_t doc_id) const {
-  const storage::Epoch epoch = ResolveReadEpoch();
   NETMARK_ASSIGN_OR_RETURN(
-      std::vector<RowId> doc_rows,
-      doc_table_->IndexLookup("doc_by_id", IndexKey{Value::Int(doc_id)}, epoch));
+      std::vector<storage::IndexedRow> doc_rows,
+      doc_table_->IndexLookup("doc_by_id", IndexKey{Value::Int(doc_id)},
+                              ResolveReadEpoch()));
   if (doc_rows.empty()) {
     return netmark::Status::NotFound(
         netmark::StringPrintf("no document %lld", static_cast<long long>(doc_id)));
   }
-  NETMARK_ASSIGN_OR_RETURN(Row row, doc_table_->Get(doc_rows[0], epoch));
-  return DocRecord::FromRow(row);
+  return DocRecord::FromRow(doc_rows[0].row);
 }
 
 netmark::Result<std::vector<DocRecord>> XmlStore::ListDocuments() const {
@@ -616,18 +624,19 @@ netmark::Result<xml::Document> XmlStore::Reconstruct(int64_t doc_id) const {
 netmark::Result<xml::Document> XmlStore::ReconstructSubtree(RowId node) const {
   xml::Document out;
   struct Pending {
-    RowId rowid;
+    NodeRecord rec;
     xml::NodeId parent;
   };
-  std::vector<Pending> stack = {{node, out.root()}};
+  NETMARK_ASSIGN_OR_RETURN(NodeRecord top, GetNode(node));
+  std::vector<Pending> stack;
+  stack.push_back(Pending{std::move(top), out.root()});
   while (!stack.empty()) {
-    Pending p = stack.back();
+    Pending p = std::move(stack.back());
     stack.pop_back();
-    NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, GetNode(p.rowid));
-    xml::NodeId dom_id = MaterializeNode(rec, &out, p.parent);
-    NETMARK_ASSIGN_OR_RETURN(std::vector<RowId> kids, Children(p.rowid));
+    xml::NodeId dom_id = MaterializeNode(p.rec, &out, p.parent);
+    NETMARK_ASSIGN_OR_RETURN(std::vector<StoredNode> kids, Children(p.rec.node_id));
     for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      stack.push_back(Pending{*it, dom_id});
+      stack.push_back(Pending{std::move(it->second), dom_id});
     }
   }
   return out;
@@ -638,37 +647,23 @@ netmark::Result<NodeRecord> XmlStore::GetNode(RowId id) const {
   return NodeRecord::FromRow(row);
 }
 
-netmark::Result<std::vector<RowId>> XmlStore::Children(RowId node) const {
-  const storage::Epoch epoch = ResolveReadEpoch();
-  NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, GetNode(node));
-  NETMARK_ASSIGN_OR_RETURN(
-      std::vector<RowId> rowids,
-      xml_table_->IndexLookup("xml_by_parent", IndexKey{Value::Int(rec.node_id)},
-                              epoch));
-  // Order by NODEID (document order).
-  std::vector<std::pair<int64_t, RowId>> keyed;
-  keyed.reserve(rowids.size());
-  for (RowId id : rowids) {
-    NETMARK_ASSIGN_OR_RETURN(NodeRecord child, GetNode(id));
-    keyed.emplace_back(child.node_id, id);
-  }
-  std::sort(keyed.begin(), keyed.end());
-  std::vector<RowId> out;
-  out.reserve(keyed.size());
-  for (const auto& [node_id, id] : keyed) out.push_back(id);
-  return out;
-}
-
-netmark::Result<std::vector<RowId>> XmlStore::NodesWithParent(
+netmark::Result<std::vector<StoredNode>> XmlStore::Children(
     int64_t parent_node_id) const {
-  return xml_table_->IndexLookup("xml_by_parent",
-                                 IndexKey{Value::Int(parent_node_id)},
-                                 ResolveReadEpoch());
+  NETMARK_ASSIGN_OR_RETURN(
+      std::vector<storage::IndexedRow> rows,
+      xml_table_->IndexLookup("xml_by_parent", IndexKey{Value::Int(parent_node_id)},
+                              ResolveReadEpoch()));
+  NETMARK_ASSIGN_OR_RETURN(std::vector<StoredNode> out, DecodeNodes(rows));
+  // Order by NODEID (document order).
+  std::sort(out.begin(), out.end(), [](const StoredNode& a, const StoredNode& b) {
+    return a.second.node_id < b.second.node_id;
+  });
+  return out;
 }
 
 netmark::Result<RowId> XmlStore::NodeByDocAndId(int64_t doc_id, int64_t node_id) const {
   NETMARK_ASSIGN_OR_RETURN(
-      std::vector<RowId> hits,
+      std::vector<storage::IndexedRow> hits,
       xml_table_->IndexLookup("xml_by_doc",
                               IndexKey{Value::Int(doc_id), Value::Int(node_id)},
                               ResolveReadEpoch()));
@@ -677,23 +672,26 @@ netmark::Result<RowId> XmlStore::NodeByDocAndId(int64_t doc_id, int64_t node_id)
         "no node %lld in document %lld", static_cast<long long>(node_id),
         static_cast<long long>(doc_id)));
   }
-  return hits[0];
+  return hits[0].id;
 }
 
 netmark::Result<std::string> XmlStore::SubtreeText(RowId node) const {
   std::string out;
-  std::vector<RowId> stack = {node};
+  NETMARK_ASSIGN_OR_RETURN(NodeRecord top, GetNode(node));
+  std::vector<NodeRecord> stack;
+  stack.push_back(std::move(top));
   while (!stack.empty()) {
-    RowId id = stack.back();
+    NodeRecord rec = std::move(stack.back());
     stack.pop_back();
-    NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, GetNode(id));
     if (rec.is_text()) {
       if (!out.empty()) out += ' ';
       out += rec.node_data;
       continue;
     }
-    NETMARK_ASSIGN_OR_RETURN(std::vector<RowId> kids, Children(id));
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) stack.push_back(*it);
+    NETMARK_ASSIGN_OR_RETURN(std::vector<StoredNode> kids, Children(rec.node_id));
+    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
+      stack.push_back(std::move(it->second));
+    }
   }
   return out;
 }

@@ -34,6 +34,9 @@
 
 namespace netmark::xmlstore {
 
+/// One node row with its physical address.
+using StoredNode = std::pair<storage::RowId, NodeRecord>;
+
 /// \brief Schema-less document store over the relational engine.
 ///
 /// MVCC serving (docs/mvcc.md): the storage layer runs in multi-version
@@ -149,15 +152,11 @@ class XmlStore {
   /// else builds on.
   netmark::Result<NodeRecord> GetNode(storage::RowId id) const;
 
-  /// RowIds of `node`'s children, in document order (index join on
-  /// PARENTNODEID; the rowid links only cover parent/sibling hops, as in the
-  /// paper).
-  netmark::Result<std::vector<storage::RowId>> Children(storage::RowId node) const;
-
-  /// RowIds of all nodes whose PARENTNODEID equals `parent_node_id`
-  /// (unordered; logical-id join used by the rowid-ablation walk).
-  netmark::Result<std::vector<storage::RowId>> NodesWithParent(
-      int64_t parent_node_id) const;
+  /// Children of the node with logical id `parent_node_id`, in document
+  /// order, with their rows (index join on PARENTNODEID; the rowid links
+  /// only cover parent/sibling hops, as in the paper). The rows are the ones
+  /// the index lookup verified, so each child is read once.
+  netmark::Result<std::vector<StoredNode>> Children(int64_t parent_node_id) const;
 
   /// RowId of the node with the given logical (doc, node) ids.
   netmark::Result<storage::RowId> NodeByDocAndId(int64_t doc_id,
@@ -167,8 +166,7 @@ class XmlStore {
   netmark::Result<std::string> SubtreeText(storage::RowId node) const;
 
   /// All node rows of a document in pre-order (NODEID order).
-  netmark::Result<std::vector<std::pair<storage::RowId, NodeRecord>>> DocumentNodes(
-      int64_t doc_id) const;
+  netmark::Result<std::vector<StoredNode>> DocumentNodes(int64_t doc_id) const;
 
   // --- Text index ---
 

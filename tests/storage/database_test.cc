@@ -68,7 +68,7 @@ TEST(DatabaseTest, PersistsTablesRowsAndIndexesAcrossReopen) {
     auto hits = (*table)->IndexLookup("by_title", {Value::Str("IBPD budget")});
     ASSERT_TRUE(hits.ok());
     ASSERT_EQ(hits->size(), 1u);
-    EXPECT_EQ((*hits)[0], saved);
+    EXPECT_EQ((*hits)[0].id, saved);
   }
 }
 

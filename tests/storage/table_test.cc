@@ -73,7 +73,7 @@ TEST_F(TableTest, IndexMaintainedAcrossMutations) {
   auto hits = table_->IndexLookup("by_name", {Value::Str("ada")});
   ASSERT_TRUE(hits.ok());
   ASSERT_EQ(hits->size(), 1u);
-  EXPECT_EQ((*hits)[0], *a);
+  EXPECT_EQ((*hits)[0].id, *a);
 
   // Update moves the index entry.
   ASSERT_TRUE(table_->Update(*a, Person(1, "ada lovelace", 36)).ok());
@@ -97,7 +97,8 @@ TEST_F(TableTest, CreateIndexBackfillsExistingRows) {
   auto hits = table_->IndexLookup("by_id", {Value::Int(13)});
   ASSERT_TRUE(hits.ok());
   ASSERT_EQ(hits->size(), 1u);
-  auto row = table_->Get((*hits)[0]);
+  EXPECT_EQ((*hits)[0].row[1].AsStr(), "p13");
+  auto row = table_->Get((*hits)[0].id);
   EXPECT_EQ((*row)[1].AsStr(), "p13");
 }
 

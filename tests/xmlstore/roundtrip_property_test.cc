@@ -100,29 +100,34 @@ TEST_P(StoreRoundTripProperty, SiblingChainsCoverAllChildren) {
   ASSERT_TRUE(nodes.ok());
   for (const auto& [rowid, rec] : *nodes) {
     if (rec.is_text()) continue;
-    auto kids = (*store)->Children(rowid);
-    ASSERT_TRUE(kids.ok());
-    if (kids->empty()) continue;
+    auto children = (*store)->Children(rec.node_id);
+    ASSERT_TRUE(children.ok());
+    if (children->empty()) continue;
+    std::vector<storage::RowId> kids;
+    for (const auto& [kid, kid_rec] : *children) {
+      EXPECT_EQ(kid_rec.parent_rowid, rowid);
+      kids.push_back(kid);
+    }
     // Walking the forward chain from the first child must enumerate exactly
     // the index-join children, in order; the backward chain the reverse.
     std::vector<storage::RowId> forward;
-    storage::RowId cur = (*kids)[0];
+    storage::RowId cur = kids[0];
     while (cur.valid()) {
       forward.push_back(cur);
       auto r = (*store)->GetNode(cur);
       ASSERT_TRUE(r.ok());
       cur = r->sibling_rowid;
     }
-    EXPECT_EQ(forward, *kids);
+    EXPECT_EQ(forward, kids);
     std::vector<storage::RowId> backward;
-    cur = kids->back();
+    cur = kids.back();
     while (cur.valid()) {
       backward.push_back(cur);
       auto r = (*store)->GetNode(cur);
       ASSERT_TRUE(r.ok());
       cur = r->prev_rowid;
     }
-    std::vector<storage::RowId> reversed(kids->rbegin(), kids->rend());
+    std::vector<storage::RowId> reversed(kids.rbegin(), kids.rend());
     EXPECT_EQ(backward, reversed);
   }
 }

@@ -102,7 +102,7 @@ TEST_F(StoreStressTest, WideSiblingFanout) {
   ASSERT_TRUE(nodes.ok());
   EXPECT_EQ(nodes->size(), 1u + 2u * kKids);
   // Forward chain covers all children.
-  auto kids = store_->Children((*nodes)[0].first);
+  auto kids = store_->Children((*nodes)[0].second.node_id);
   ASSERT_TRUE(kids.ok());
   EXPECT_EQ(kids->size(), static_cast<size_t>(kKids));
 }

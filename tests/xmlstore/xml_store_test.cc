@@ -119,20 +119,21 @@ TEST_F(XmlStoreTest, NodeLinksFormTraversableTree) {
   EXPECT_FALSE(root_rec.parent_rowid.valid());
   EXPECT_EQ(root_rec.parent_node_id, 0);
   // Its four children chain via sibling links.
-  auto kids = store_->Children(root_rowid);
+  auto kids = store_->Children(root_rec.node_id);
   ASSERT_TRUE(kids.ok());
   ASSERT_EQ(kids->size(), 4u);
   for (size_t i = 0; i < 4; ++i) {
-    auto rec = store_->GetNode((*kids)[i]);
+    auto rec = store_->GetNode((*kids)[i].first);
     ASSERT_TRUE(rec.ok());
+    EXPECT_EQ(rec->node_id, (*kids)[i].second.node_id);
     EXPECT_EQ(rec->parent_rowid, root_rowid);
     if (i + 1 < 4) {
-      EXPECT_EQ(rec->sibling_rowid, (*kids)[i + 1]);
+      EXPECT_EQ(rec->sibling_rowid, (*kids)[i + 1].first);
     } else {
       EXPECT_FALSE(rec->sibling_rowid.valid());
     }
     if (i > 0) {
-      EXPECT_EQ(rec->prev_rowid, (*kids)[i - 1]);
+      EXPECT_EQ(rec->prev_rowid, (*kids)[i - 1].first);
     } else {
       EXPECT_FALSE(rec->prev_rowid.valid());
     }

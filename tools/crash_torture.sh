@@ -34,10 +34,12 @@ POINTS=(
 )
 
 # Deterministic PRNG (LCG) so the kill schedule is a pure function of SEED.
+# `rand N` sets R in [0, N). Call it directly, never inside $(...): a
+# subshell's STATE update is lost, and every draw would repeat the first.
 STATE=$((SEED + 0x9E3779B9))
-rand() { # rand N -> [0, N)
+rand() {
   STATE=$(( (STATE * 6364136223846793005 + 1442695040888963407) & 0x7FFFFFFFFFFFFFFF ))
-  echo $(( (STATE >> 17) % $1 ))
+  R=$(( (STATE >> 17) % $1 ))
 }
 
 run_verify() {
@@ -54,8 +56,10 @@ while :; do
     echo "crash_torture: corpus did not drain in $MAX_ROUNDS rounds" >&2
     exit 1
   fi
-  point=${POINTS[$(rand ${#POINTS[@]})]}
-  after=$(( $(rand 6) + 1 ))
+  rand ${#POINTS[@]}
+  point=${POINTS[$R]}
+  rand 6
+  after=$((R + 1))
   echo "--- round $round: SIGKILL at ${point} (hit ${after})"
   # Small checkpoint trigger so automatic checkpoints (and their crash
   # points) actually fire within a tiny corpus.

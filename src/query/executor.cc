@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <set>
 #include <tuple>
+#include <utility>
 
 #include "observability/thread_trace.h"
 #include "query/plan.h"
@@ -17,6 +19,8 @@ namespace netmark::query {
 using storage::RowId;
 using textindex::QueryClause;
 using textindex::TextQuery;
+using xmlstore::GoverningContext;
+using xmlstore::NodeHeader;
 using xmlstore::NodeRecord;
 
 // Quarantine containment: a read that lands on a checksum-failed page
@@ -95,7 +99,7 @@ netmark::Result<QueryExecutor::DocScope> QueryExecutor::ScopeNodes(
 
 netmark::Status QueryExecutor::ForEachPosting(
     const QueryClause& clause, const DocScope* scope, Stats& stats,
-    const std::function<netmark::Status(RowId, const NodeRecord&)>& visit) const {
+    const std::function<netmark::Status(RowId, const NodeHeader&)>& visit) const {
   ++stats.index_probes;
   std::vector<RowId> nodes;
   if (!options_.use_text_index) {
@@ -126,28 +130,30 @@ netmark::Status QueryExecutor::ForEachPosting(
       if (it != scope->end()) NETMARK_RETURN_NOT_OK(visit(id, it->second));
       continue;
     }
-    NETMARK_SKIP_STALE_OR_DATALOSS(rec, store_->GetNode(id), stats, continue);
+    NETMARK_SKIP_STALE_OR_DATALOSS(rec, store_->GetNodeHeader(id), stats, continue);
     NETMARK_RETURN_NOT_OK(visit(id, rec));
   }
   return netmark::Status::OK();
 }
 
-netmark::Result<RowId> QueryExecutor::Walk(RowId start, Stats& stats) const {
+netmark::Result<GoverningContext> QueryExecutor::Walk(RowId start,
+                                                      const NodeHeader& start_row,
+                                                      Stats& stats) const {
   ++stats.nodes_walked;
   if (options_.use_index_joins_for_walks) {
-    return xmlstore::FindGoverningContextViaIndex(*store_, start);
+    return xmlstore::FindGoverningContextViaIndex(*store_, start, start_row);
   }
-  return xmlstore::FindGoverningContext(*store_, start);
+  return xmlstore::FindGoverningContext(*store_, start, start_row);
 }
 
-netmark::Result<bool> QueryExecutor::InsideIntense(const NodeRecord& node) const {
+netmark::Result<bool> QueryExecutor::InsideIntense(const NodeHeader& node) const {
   // A text node "is emphasized" when an enclosing element within a few
   // parent hops is INTENSE-typed (<b>term</b> nests at most a couple of
   // levels in practice).
   if (node.node_type == xml::NetmarkNodeType::kIntense) return true;
   RowId parent = node.parent_rowid;
   for (int hop = 0; hop < 3 && parent.valid(); ++hop) {
-    NETMARK_ASSIGN_OR_RETURN(NodeRecord rec, store_->GetNode(parent));
+    NETMARK_ASSIGN_OR_RETURN(NodeHeader rec, store_->GetNodeHeader(parent));
     if (rec.node_type == xml::NetmarkNodeType::kIntense) return true;
     parent = rec.parent_rowid;
   }
@@ -162,14 +168,15 @@ netmark::Result<std::vector<QueryExecutor::RankedDoc>> QueryExecutor::RankDocume
   // (emphasis) matches counting double.
   std::set<int64_t> docs;
   std::map<int64_t, double> scores;
-  std::map<int64_t, RowId> first_match;  // snippet anchor per document
+  // Snippet anchor per document, with its row.
+  std::map<int64_t, std::pair<RowId, NodeHeader>> first_match;
   bool first = true;
   for (const QueryClause& clause : content.clauses) {
     std::set<int64_t> clause_docs;
     NETMARK_RETURN_NOT_OK(ForEachPosting(
-        clause, scope, stats, [&](RowId id, const NodeRecord& rec) -> netmark::Status {
+        clause, scope, stats, [&](RowId id, const NodeHeader& rec) -> netmark::Status {
           clause_docs.insert(rec.doc_id);
-          first_match.emplace(rec.doc_id, id);
+          first_match.emplace(rec.doc_id, std::make_pair(id, rec));
           bool intense = false;
           auto intense_or = InsideIntense(rec);
           if (intense_or.ok()) {
@@ -195,7 +202,8 @@ netmark::Result<std::vector<QueryExecutor::RankedDoc>> QueryExecutor::RankDocume
   std::vector<RankedDoc> ranked;
   ranked.reserve(docs.size());
   for (int64_t doc_id : docs) {
-    ranked.push_back(RankedDoc{doc_id, scores[doc_id], first_match[doc_id]});
+    const auto& [anchor, anchor_row] = first_match[doc_id];
+    ranked.push_back(RankedDoc{doc_id, scores[doc_id], anchor, anchor_row});
   }
   std::sort(ranked.begin(), ranked.end(), [](const RankedDoc& a, const RankedDoc& b) {
     if (a.score != b.score) return a.score > b.score;
@@ -228,10 +236,10 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::ContentOnly(
     // list. Assembly is best-effort: a quarantined page costs the snippet,
     // not the hit.
     bool snippet_loss = false;
-    auto ctx = Walk(doc.anchor, stats);
+    auto ctx = Walk(doc.anchor, doc.anchor_row, stats);
     if (!ctx.ok() && !ctx.status().IsDataLoss()) return ctx.status();
-    if (ctx.ok() && ctx->valid()) {
-      auto heading = store_->SubtreeText(*ctx);
+    if (ctx.ok() && ctx->id.valid()) {
+      auto heading = store_->DescendantText(ctx->head.node_id);
       if (!heading.ok() && !heading.status().IsDataLoss()) {
         return heading.status();
       }
@@ -265,26 +273,26 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::SectionQuery(
   // walk to the governing CONTEXT -> intersect at section granularity.
   const TextQuery& seed =
       query.has_content() ? plan.content_query : plan.context_query;
-  std::set<uint64_t> candidates;  // packed context RowIds
+  // Packed context RowId -> the heading row its walk stopped at.
+  using Contexts = std::unordered_map<uint64_t, NodeHeader>;
+  Contexts candidates;
   bool first = true;
   for (const QueryClause& clause : seed.clauses) {
-    std::set<uint64_t> clause_contexts;
+    Contexts clause_contexts;
     NETMARK_RETURN_NOT_OK(ForEachPosting(
-        clause, scope, stats, [&](RowId node, const NodeRecord&) -> netmark::Status {
-          NETMARK_SKIP_ON_DATALOSS(ctx, Walk(node, stats), stats,
+        clause, scope, stats, [&](RowId node, const NodeHeader& rec) -> netmark::Status {
+          NETMARK_SKIP_ON_DATALOSS(ctx, Walk(node, rec, stats), stats,
                                    return netmark::Status::OK());
-          if (ctx.valid()) clause_contexts.insert(ctx.Pack());
+          if (ctx.id.valid()) clause_contexts.emplace(ctx.id.Pack(), ctx.head);
           return netmark::Status::OK();
         }));
     if (first) {
       candidates = std::move(clause_contexts);
       first = false;
     } else {
-      std::set<uint64_t> merged;
-      std::set_intersection(candidates.begin(), candidates.end(),
-                            clause_contexts.begin(), clause_contexts.end(),
-                            std::inserter(merged, merged.end()));
-      candidates = std::move(merged);
+      for (auto it = candidates.begin(); it != candidates.end();) {
+        it = clause_contexts.count(it->first) != 0 ? std::next(it) : candidates.erase(it);
+      }
     }
     if (candidates.empty()) return std::vector<QueryHit>{};
   }
@@ -297,51 +305,47 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::SectionQuery(
       query.has_content() && !(plan.kind == QueryPlan::Kind::kSectionSpecialized &&
                                options_.use_specialized_section_plan);
 
-  // Answer order is the heading's (doc_id, node_id): read each candidate's
-  // head row once for that key, sort, then build sections in answer order
-  // until the limit is reached.
+  // Answer order is the heading's (doc_id, node_id), which the walks
+  // already read: sort, then build sections in answer order until the
+  // limit is reached.
   struct Candidate {
-    int64_t doc_id;
-    int64_t node_id;
     RowId context;
+    NodeHeader head;
   };
   std::vector<Candidate> ordered;
   ordered.reserve(candidates.size());
-  for (uint64_t packed : candidates) {
-    RowId ctx = RowId::Unpack(packed);
-    NETMARK_SKIP_ON_DATALOSS(head, store_->GetNode(ctx), stats, continue);
-    ordered.push_back(Candidate{head.doc_id, head.node_id, ctx});
+  for (const auto& [packed, head] : candidates) {
+    ordered.push_back(Candidate{RowId::Unpack(packed), head});
   }
   std::sort(ordered.begin(), ordered.end(), [](const Candidate& a, const Candidate& b) {
-    return std::tie(a.doc_id, a.node_id) < std::tie(b.doc_id, b.node_id);
+    return std::tie(a.head.doc_id, a.head.node_id) < std::tie(b.head.doc_id, b.head.node_id);
   });
 
   std::vector<QueryHit> hits;
   for (const Candidate& candidate : ordered) {
     if (Full(hits, query.limit)) break;
-    const RowId ctx = candidate.context;
-    NETMARK_SKIP_ON_DATALOSS(section, xmlstore::BuildSection(*store_, ctx),
-                             stats, continue);
-    if (!textindex::Matches(plan.context_query, section.heading)) continue;
-    NETMARK_SKIP_ON_DATALOSS(body, xmlstore::SectionText(*store_, ctx), stats, {
-      store_->NoteQuarantinedDoc(section.doc_id);
+    const NodeHeader& head = candidate.head;
+    NETMARK_SKIP_ON_DATALOSS(heading, store_->DescendantText(head.node_id), stats,
+                             continue);
+    if (!textindex::Matches(plan.context_query, heading)) continue;
+    NETMARK_SKIP_ON_DATALOSS(body, xmlstore::SectionText(*store_, head), stats, {
+      store_->NoteQuarantinedDoc(head.doc_id);
       continue;
     });
     if (verify_content &&
-        !textindex::Matches(plan.content_query, section.heading + " " + body)) {
+        !textindex::Matches(plan.content_query, heading + " " + body)) {
       continue;
     }
     ++stats.sections_built;
-    NETMARK_SKIP_ON_DATALOSS(info, store_->GetDocumentInfo(section.doc_id),
-                             stats, {
-                               store_->NoteQuarantinedDoc(section.doc_id);
-                               continue;
-                             });
+    NETMARK_SKIP_ON_DATALOSS(info, store_->GetDocumentInfo(head.doc_id), stats, {
+      store_->NoteQuarantinedDoc(head.doc_id);
+      continue;
+    });
     QueryHit hit;
-    hit.doc_id = section.doc_id;
+    hit.doc_id = head.doc_id;
     hit.file_name = info.file_name;
-    hit.context = ctx;
-    hit.heading = std::move(section.heading);
+    hit.context = candidate.context;
+    hit.heading = std::move(heading);
     hit.text = std::move(body);
     hits.push_back(std::move(hit));
   }
@@ -400,6 +404,7 @@ void QueryExecutor::BindMetrics(observability::MetricsRegistry* registry) {
   handles_.executes = registry->GetCounter("netmark_xdb_executes_total");
   handles_.index_probes = registry->GetCounter("netmark_xdb_index_probes_total");
   handles_.nodes_walked = registry->GetCounter("netmark_xdb_nodes_walked_total");
+  handles_.node_reads = registry->GetCounter("netmark_xdb_node_reads_total");
   handles_.sections_built =
       registry->GetCounter("netmark_xdb_sections_built_total");
   handles_.execute_micros = registry->GetHistogram("netmark_xdb_execute_micros");
@@ -495,8 +500,10 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::ExecuteUnderSnapshot(
 
   NETMARK_ASSIGN_OR_RETURN(std::shared_ptr<const QueryPlan> plan,
                            GetPlan(query, local));
+  const uint64_t reads_before = xmlstore::XmlStore::NodeReadsOnThisThread();
   NETMARK_ASSIGN_OR_RETURN(std::vector<QueryHit> hits,
                            RunPlan(*plan, query, local));
+  local.node_reads = xmlstore::XmlStore::NodeReadsOnThisThread() - reads_before;
   if (use_cache) {
     result_cache_->Insert(
         cache_key, epoch,
@@ -506,6 +513,7 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::ExecuteUnderSnapshot(
     handles_.executes->Increment();
     handles_.index_probes->Increment(local.index_probes);
     handles_.nodes_walked->Increment(local.nodes_walked);
+    handles_.node_reads->Increment(local.node_reads);
     handles_.sections_built->Increment(local.sections_built);
   }
   if (stats != nullptr) *stats = local;

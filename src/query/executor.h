@@ -68,6 +68,9 @@ class QueryExecutor {
   struct Stats {
     size_t index_probes = 0;
     size_t nodes_walked = 0;
+    /// XML rows read: one per posting verified, per walk hop, and per row
+    /// of section, snippet and doc-scope assembly. Each row is read once.
+    size_t node_reads = 0;
     /// Sections assembled into the answer (at most the query's limit).
     size_t sections_built = 0;
     /// 1 when this call was answered from the result cache (all other
@@ -129,6 +132,7 @@ class QueryExecutor {
     int64_t doc_id;
     double score;
     storage::RowId anchor;
+    xmlstore::NodeHeader anchor_row;
   };
 
   /// Reads the rows of document `doc_id` at the snapshot. Empty when the
@@ -136,14 +140,16 @@ class QueryExecutor {
   netmark::Result<DocScope> ScopeNodes(int64_t doc_id, Stats& stats) const;
   /// Calls `visit` for each TEXT node matching `clause` (text index, or a
   /// full scan without it) that is visible at the snapshot and inside
-  /// `scope` (unless null). Rows are visited one at a time, never collected:
-  /// a common term has thousands of postings.
+  /// `scope` (unless null), with the row the visibility check read — the
+  /// visitor's walk starts from it instead of reading it again. Rows are
+  /// visited one at a time, never collected: a common term has thousands of
+  /// postings.
   netmark::Status ForEachPosting(
       const textindex::QueryClause& clause, const DocScope* scope, Stats& stats,
       const std::function<netmark::Status(storage::RowId,
-                                          const xmlstore::NodeRecord&)>& visit) const;
+                                          const xmlstore::NodeHeader&)>& visit) const;
   /// True when `node` sits under INTENSE markup (emphasis-boosted scoring).
-  netmark::Result<bool> InsideIntense(const xmlstore::NodeRecord& node) const;
+  netmark::Result<bool> InsideIntense(const xmlstore::NodeHeader& node) const;
   /// Scores every document matching all content clauses; sorted by (score
   /// desc, doc_id asc).
   netmark::Result<std::vector<RankedDoc>> RankDocuments(
@@ -155,8 +161,9 @@ class QueryExecutor {
       const textindex::TextQuery& content, const DocScope* scope, size_t limit,
       Stats& stats) const;
   /// Context, and context+content, queries: candidate sections from the
-  /// postings, then sections built in (doc_id, node_id) order until
-  /// `query.limit` pass verification. For a kSectionSpecialized plan (and
+  /// postings (each walk hands back the heading row it stopped at, which
+  /// carries the answer key), then sections built in (doc_id, node_id)
+  /// order until `query.limit` pass verification. For a kSectionSpecialized plan (and
   /// `use_specialized_section_plan`) only the heading is verified; the
   /// generic path re-checks the content key over heading + body.
   netmark::Result<std::vector<QueryHit>> SectionQuery(const QueryPlan& plan,
@@ -167,7 +174,10 @@ class QueryExecutor {
                                                     const XdbQuery& query,
                                                     const DocScope* scope,
                                                     Stats& stats) const;
-  netmark::Result<storage::RowId> Walk(storage::RowId start, Stats& stats) const;
+  /// The governing context of a posting whose row is in hand.
+  netmark::Result<xmlstore::GoverningContext> Walk(storage::RowId start,
+                                                   const xmlstore::NodeHeader& start_row,
+                                                   Stats& stats) const;
 
   /// Registry handles (all null when unbound): cumulative mirrors of Stats
   /// plus the execute latency histogram.
@@ -175,6 +185,7 @@ class QueryExecutor {
     observability::Counter* executes = nullptr;
     observability::Counter* index_probes = nullptr;
     observability::Counter* nodes_walked = nullptr;
+    observability::Counter* node_reads = nullptr;
     observability::Counter* sections_built = nullptr;
     observability::Histogram* execute_micros = nullptr;
   };

@@ -565,20 +565,18 @@ HttpResponse NetmarkService::HandlePutDocument(const HttpRequest& request,
   // WebDAV PUT semantics ("collaboratively edit and manage files", paper
   // §2.1.2): putting to an existing name replaces that document.
   bool replaced = false;
-  auto existing = ([this] {
+  auto existing = ([&] {
     xmlstore::XmlStore::ReadSnapshot snapshot = store_->BeginRead();
-    return store_->ListDocuments();
+    return store_->FindDocumentsByName(file_name);
   })();
   if (existing.ok()) {
     for (const xmlstore::DocRecord& rec : *existing) {
-      if (rec.file_name == file_name) {
-        netmark::Status st = store_->DeleteDocument(rec.doc_id);
-        // A concurrent PUT/DELETE may have removed it between the listing
-        // and now; the replace still proceeds.
-        if (st.IsNotFound()) continue;
-        if (!st.ok()) return StorageErrorResponse(st);
-        replaced = true;
-      }
+      netmark::Status st = store_->DeleteDocument(rec.doc_id);
+      // A concurrent PUT/DELETE may have removed it between the lookup and
+      // now; the replace still proceeds.
+      if (st.IsNotFound()) continue;
+      if (!st.ok()) return StorageErrorResponse(st);
+      replaced = true;
     }
   }
   xmlstore::DocumentInfo info;

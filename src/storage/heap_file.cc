@@ -107,8 +107,8 @@ netmark::Result<std::string> HeapFile::WriteOverflowPayload(std::string_view rec
   return payload;
 }
 
-netmark::Result<std::string> HeapFile::ReadOverflow(std::string_view payload,
-                                                    Epoch epoch) const {
+netmark::Status HeapFile::ReadOverflow(std::string_view payload, Epoch epoch,
+                                      std::string* out) const {
   if (payload.size() != 12) {
     return netmark::Status::Corruption("bad overflow descriptor size");
   }
@@ -116,8 +116,7 @@ netmark::Result<std::string> HeapFile::ReadOverflow(std::string_view payload,
   uint64_t total;
   std::memcpy(&pid, payload.data(), 4);
   std::memcpy(&total, payload.data() + 4, 8);
-  std::string out;
-  out.reserve(total);
+  out->clear();
   while (pid != kInvalidPage) {
     // Overflow pages are born with their record and never rewritten (space
     // is not reused), so they are visible at every epoch the record is.
@@ -133,15 +132,15 @@ netmark::Result<std::string> HeapFile::ReadOverflow(std::string_view payload,
     if (len > kOverflowChunk) {
       return netmark::Status::Corruption("bad overflow chunk");
     }
-    out.append(reinterpret_cast<const char*>(raw + kOverflowHeader), len);
+    out->append(reinterpret_cast<const char*>(raw + kOverflowHeader), len);
     std::memcpy(&pid, raw + 4, 4);
   }
-  if (out.size() != total) {
+  if (out->size() != total) {
     return netmark::Status::Corruption(
-        netmark::StringPrintf("overflow chain length %zu != expected %llu", out.size(),
+        netmark::StringPrintf("overflow chain length %zu != expected %llu", out->size(),
                               static_cast<unsigned long long>(total)));
   }
-  return out;
+  return netmark::Status::OK();
 }
 
 netmark::Result<RowId> HeapFile::InsertTagged(std::string_view record,
@@ -185,12 +184,25 @@ netmark::Result<HeapFile::Located> HeapFile::Resolve(RowId id,
   return netmark::Status::Corruption("forward chain too long at " + id.ToString());
 }
 
-netmark::Result<std::string> HeapFile::Get(RowId id, Epoch epoch) const {
+netmark::Status HeapFile::Read(RowId id, Epoch epoch, RecordRef* out) const {
   NETMARK_ASSIGN_OR_RETURN(Located at, Resolve(id, epoch));
   std::string_view rec = at.ref.page().Get(at.slot.slot);
-  uint8_t flags = static_cast<uint8_t>(rec[0]);
-  if (flags & kOverflowFlag) return ReadOverflow(rec.substr(1), epoch);
-  return std::string(rec.substr(1));
+  if (static_cast<uint8_t>(rec[0]) & kOverflowFlag) {
+    NETMARK_RETURN_NOT_OK(ReadOverflow(rec.substr(1), epoch, &out->overflow_));
+    out->page_ = PageRef();
+    out->bytes_ = out->overflow_;
+    return netmark::Status::OK();
+  }
+  // Moving the PageRef keeps its buffer where it is: `rec` stays valid.
+  out->page_ = std::move(at.ref);
+  out->bytes_ = rec.substr(1);
+  return netmark::Status::OK();
+}
+
+netmark::Result<std::string> HeapFile::Get(RowId id, Epoch epoch) const {
+  RecordRef rec;
+  NETMARK_RETURN_NOT_OK(Read(id, epoch, &rec));
+  return std::string(rec.bytes());
 }
 
 bool HeapFile::Exists(RowId id, Epoch epoch) const {
@@ -288,11 +300,12 @@ netmark::Status HeapFile::Scan(
       if (flags & kRelocatedFlag) continue;  // reached via its origin slot
       RowId rid(pid, s);
       if (flags & kForwardFlag) {
-        NETMARK_ASSIGN_OR_RETURN(std::string data, Get(rid, epoch));
-        NETMARK_RETURN_NOT_OK(fn(rid, data));
+        RecordRef moved;
+        NETMARK_RETURN_NOT_OK(Read(rid, epoch, &moved));
+        NETMARK_RETURN_NOT_OK(fn(rid, moved.bytes()));
       } else if (flags & kOverflowFlag) {
-        NETMARK_ASSIGN_OR_RETURN(std::string data,
-                                 ReadOverflow(rec.substr(1), epoch));
+        std::string data;
+        NETMARK_RETURN_NOT_OK(ReadOverflow(rec.substr(1), epoch, &data));
         NETMARK_RETURN_NOT_OK(fn(rid, data));
       } else {
         NETMARK_RETURN_NOT_OK(fn(rid, rec.substr(1)));

@@ -35,6 +35,30 @@
 
 namespace netmark::storage {
 
+/// \brief One record's bytes, read in place.
+///
+/// `bytes()` points into the page version the read pinned, or — for a
+/// record spilled to overflow pages — into a buffer the chain was assembled
+/// in. Either lives inside this object, so the view is valid until the next
+/// read into it or its destruction; copy out anything that must outlive
+/// that. Not copyable (a copy's view would point into the original). Reusing
+/// one RecordRef across reads keeps the overflow buffer's capacity.
+class RecordRef {
+ public:
+  RecordRef() = default;
+  RecordRef(const RecordRef&) = delete;
+  RecordRef& operator=(const RecordRef&) = delete;
+
+  std::string_view bytes() const { return bytes_; }
+
+ private:
+  friend class HeapFile;
+
+  PageRef page_;
+  std::string overflow_;
+  std::string_view bytes_;
+};
+
 /// \brief Record store over a Pager.
 class HeapFile {
  public:
@@ -57,8 +81,12 @@ class HeapFile {
   /// Stores a record, returning its permanent RowId.
   netmark::Result<RowId> Insert(std::string_view record);
 
-  /// Fetches a record (assembling overflow chains, chasing forwards) as of
-  /// `epoch`. NotFound covers both "no record" and "page born after epoch".
+  /// Reads a record as of `epoch` into `out` (chasing forwards, assembling
+  /// overflow chains) without copying inline bytes out of the page. NotFound
+  /// covers both "no record" and "page born after epoch".
+  netmark::Status Read(RowId id, Epoch epoch, RecordRef* out) const;
+
+  /// Read() copied into a string.
   netmark::Result<std::string> Get(RowId id, Epoch epoch = kLatestEpoch) const;
 
   /// Replaces a record's bytes; the RowId remains valid.
@@ -94,8 +122,9 @@ class HeapFile {
 
   netmark::Result<RowId> InsertTagged(std::string_view record, uint8_t extra_flags);
   netmark::Result<RowId> AppendSlot(std::string_view payload);
-  netmark::Result<std::string> ReadOverflow(std::string_view payload,
-                                            Epoch epoch) const;
+  /// Assembles an overflow chain into `out` (replacing its contents).
+  netmark::Status ReadOverflow(std::string_view payload, Epoch epoch,
+                               std::string* out) const;
   netmark::Result<std::string> WriteOverflowPayload(std::string_view record);
   /// The slot holding a record's data, with the page version read there.
   struct Located {
@@ -103,7 +132,7 @@ class HeapFile {
     PageRef ref;
   };
   /// Follows forward pointers from `id` to the slot holding the data; the
-  /// returned PageRef lets Get read the record without a second fetch.
+  /// returned PageRef lets Read use the record without a second fetch.
   netmark::Result<Located> Resolve(RowId id, Epoch epoch) const;
 
   Pager* pager_;

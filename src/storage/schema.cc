@@ -89,25 +89,8 @@ void AppendVarint(std::string* out, uint64_t v) {
   *out += static_cast<char>(v);
 }
 
-netmark::Result<uint64_t> ReadVarint(std::string_view bytes, size_t* pos) {
-  uint64_t v = 0;
-  int shift = 0;
-  while (*pos < bytes.size()) {
-    uint8_t b = static_cast<uint8_t>(bytes[*pos]);
-    ++*pos;
-    v |= static_cast<uint64_t>(b & 0x7F) << shift;
-    if ((b & 0x80) == 0) return v;
-    shift += 7;
-    if (shift > 63) break;
-  }
-  return netmark::Status::Corruption("truncated varint in row encoding");
-}
-
 uint64_t ZigZag(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
-int64_t UnZigZag(uint64_t v) {
-  return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
 }  // namespace
@@ -139,52 +122,58 @@ std::string EncodeRow(const Row& row) {
   return out;
 }
 
+netmark::Status RowReader::Truncated(const char* what) {
+  return netmark::Status::Corruption(std::string("truncated ") + what + " in row");
+}
+
+netmark::Status RowReader::Malformed(const char* what) {
+  return netmark::Status::Corruption(std::string(what) + " in row encoding");
+}
+
+netmark::Status RowReader::ReadDouble(double* value) {
+  if (remaining() < sizeof(uint64_t)) return Truncated("double");
+  std::memcpy(value, bytes_.data() + pos_, sizeof(*value));
+  pos_ += sizeof(uint64_t);
+  return netmark::Status::OK();
+}
+
 netmark::Result<Row> DecodeRow(std::string_view bytes) {
-  size_t pos = 0;
-  NETMARK_ASSIGN_OR_RETURN(uint64_t n, ReadVarint(bytes, &pos));
+  RowReader in(bytes);
+  uint64_t n = 0;
+  NETMARK_RETURN_NOT_OK(in.ReadCount(&n));
+  // Every value takes at least its tag byte, so a count past the remaining
+  // bytes is corrupt — and must not size the reservation.
+  if (n > in.remaining()) return netmark::Status::Corruption("truncated row");
   Row row;
   row.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
-    if (pos >= bytes.size()) return netmark::Status::Corruption("truncated row");
-    auto type = static_cast<ValueType>(bytes[pos]);
-    ++pos;
+    ValueType type = ValueType::kNull;
+    NETMARK_RETURN_NOT_OK(in.ReadTag(&type));
     switch (type) {
       case ValueType::kNull:
         row.push_back(Value::Null());
         break;
       case ValueType::kInt64: {
-        NETMARK_ASSIGN_OR_RETURN(uint64_t raw, ReadVarint(bytes, &pos));
-        row.push_back(Value::Int(UnZigZag(raw)));
+        int64_t v = 0;
+        NETMARK_RETURN_NOT_OK(in.ReadInt(&v));
+        row.push_back(Value::Int(v));
         break;
       }
       case ValueType::kDouble: {
-        if (pos + sizeof(uint64_t) > bytes.size()) {
-          return netmark::Status::Corruption("truncated double in row");
-        }
-        uint64_t bits;
-        std::memcpy(&bits, bytes.data() + pos, sizeof(bits));
-        pos += sizeof(bits);
-        double d;
-        std::memcpy(&d, &bits, sizeof(d));
+        double d = 0;
+        NETMARK_RETURN_NOT_OK(in.ReadDouble(&d));
         row.push_back(Value::Real(d));
         break;
       }
       case ValueType::kString: {
-        NETMARK_ASSIGN_OR_RETURN(uint64_t len, ReadVarint(bytes, &pos));
-        if (pos + len > bytes.size()) {
-          return netmark::Status::Corruption("truncated string in row");
-        }
-        row.push_back(Value::Str(std::string(bytes.substr(pos, len))));
-        pos += len;
+        std::string_view s;
+        NETMARK_RETURN_NOT_OK(in.ReadString(&s));
+        row.push_back(Value::Str(std::string(s)));
         break;
       }
-      default:
-        return netmark::Status::Corruption("unknown value tag in row");
     }
   }
-  if (pos != bytes.size()) {
-    return netmark::Status::Corruption("trailing bytes after row");
-  }
+  NETMARK_RETURN_NOT_OK(in.Finish());
   return row;
 }
 

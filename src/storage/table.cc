@@ -50,8 +50,9 @@ netmark::Result<RowId> Table::Insert(const Row& row) {
 }
 
 netmark::Result<Row> Table::Get(RowId id, Epoch epoch) const {
-  NETMARK_ASSIGN_OR_RETURN(std::string bytes, heap_->Get(id, epoch));
-  return DecodeRow(bytes);
+  RecordRef rec;
+  NETMARK_RETURN_NOT_OK(heap_->Read(id, epoch, &rec));
+  return DecodeRow(rec.bytes());
 }
 
 netmark::Status Table::Update(RowId id, const Row& row) {

@@ -56,6 +56,12 @@ class Table {
   /// Validates against the schema and stores the row.
   netmark::Result<RowId> Insert(const Row& row);
   netmark::Result<Row> Get(RowId id, Epoch epoch = kLatestEpoch) const;
+  /// The row's encoded bytes (EncodeRow form), read in place into `out`;
+  /// see RecordRef for how long they stay valid. For decoders that read
+  /// only the columns they need (RowReader) instead of a whole Row.
+  netmark::Status Read(RowId id, Epoch epoch, RecordRef* out) const {
+    return heap_->Read(id, epoch, out);
+  }
   netmark::Status Update(RowId id, const Row& row);
   netmark::Status Delete(RowId id);
 
@@ -63,6 +69,13 @@ class Table {
   netmark::Status Scan(
       const std::function<netmark::Status(RowId, const Row&)>& fn,
       Epoch epoch = kLatestEpoch) const;
+  /// Scan over the encoded bytes, undecoded; each view is valid only for
+  /// the duration of its `fn` call.
+  netmark::Status ScanBytes(
+      const std::function<netmark::Status(RowId, std::string_view)>& fn,
+      Epoch epoch = kLatestEpoch) const {
+    return heap_->Scan(fn, epoch);
+  }
 
   /// Adds an index over `columns` and builds it from current rows.
   netmark::Status CreateIndex(const std::string& name,

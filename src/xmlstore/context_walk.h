@@ -14,7 +14,10 @@
 //
 // Every hop is one physical RowId fetch — the paper's Oracle-rowid trick.
 // FindGoverningContextViaIndex is the ablation twin that does the same walk
-// with logical-id index joins instead (bench_ablation_rowid).
+// with logical-id index joins instead (bench_ablation_rowid). Both start
+// from a row the caller already holds (the query executor's verified
+// posting), so no row is read twice, and both hand back the heading row
+// they stopped at.
 
 #ifndef NETMARK_XMLSTORE_CONTEXT_WALK_H_
 #define NETMARK_XMLSTORE_CONTEXT_WALK_H_
@@ -35,13 +38,30 @@ struct Section {
   int64_t doc_id = 0;
 };
 
-/// \brief Nearest enclosing/preceding CONTEXT node of `start`, or invalid
-/// RowId when the node precedes any heading. Pure RowId-link hops.
-netmark::Result<storage::RowId> FindGoverningContext(const XmlStore& store,
-                                                     storage::RowId start);
+/// Where an upward walk stopped: the governing CONTEXT node and its row as
+/// the walk's last hop read it. `id` is invalid when the start node
+/// precedes any heading.
+struct GoverningContext {
+  storage::RowId id;
+  NodeHeader head;
+};
+
+/// \brief Nearest enclosing/preceding CONTEXT node of `start`, whose row
+/// the caller has already read (`start_row`): the walk reads only the rows
+/// it hops to. Pure RowId-link hops.
+netmark::Result<GoverningContext> FindGoverningContext(const XmlStore& store,
+                                                       storage::RowId start,
+                                                       const NodeHeader& start_row);
 
 /// \brief Same result computed with PARENTNODEID index joins instead of
 /// physical links (ablation baseline; see DESIGN.md Ablation A).
+netmark::Result<GoverningContext> FindGoverningContextViaIndex(
+    const XmlStore& store, storage::RowId start, const NodeHeader& start_row);
+
+/// \brief The two walks from a bare RowId: read `start`, then walk. The
+/// result is the context's RowId, invalid when none governs `start`.
+netmark::Result<storage::RowId> FindGoverningContext(const XmlStore& store,
+                                                     storage::RowId start);
 netmark::Result<storage::RowId> FindGoverningContextViaIndex(const XmlStore& store,
                                                              storage::RowId start);
 
@@ -50,12 +70,17 @@ netmark::Result<storage::RowId> FindGoverningContextViaIndex(const XmlStore& sto
 netmark::Result<std::vector<storage::RowId>> SectionContent(const XmlStore& store,
                                                             storage::RowId context);
 
-/// \brief Materializes a full Section (heading text + content + doc).
+/// \brief Materializes a full Section (heading text + content + doc),
+/// reading the heading row once and walking the content run once.
 netmark::Result<Section> BuildSection(const XmlStore& store, storage::RowId context);
 
 /// \brief Concatenated text of a section's content run.
 netmark::Result<std::string> SectionText(const XmlStore& store,
                                          storage::RowId context);
+
+/// \brief SectionText of a CONTEXT node whose row is in hand: one walk of
+/// the content run, each content row read once.
+netmark::Result<std::string> SectionText(const XmlStore& store, const NodeHeader& head);
 
 }  // namespace netmark::xmlstore
 

@@ -1,5 +1,9 @@
 #include "xmlstore/node_record.h"
 
+#include <limits>
+
+#include "common/string_util.h"
+
 namespace netmark::xmlstore {
 
 using storage::ColumnSchema;
@@ -8,6 +12,88 @@ using storage::RowId;
 using storage::TableSchema;
 using storage::Value;
 using storage::ValueType;
+
+namespace {
+
+constexpr size_t kNodeColumns = 9;
+
+bool IsStringColumn(size_t col) {
+  return col == NodeRecord::kNodeName || col == NodeRecord::kNodeData;
+}
+
+netmark::Status WrongColumnType(size_t col) {
+  return netmark::Status::Corruption(
+      netmark::StringPrintf("XML row column %zu has the wrong type", col));
+}
+
+/// NODETYPE is range-checked on its full 64-bit value.
+netmark::Result<xml::NetmarkNodeType> NodeTypeFromColumn(int64_t v) {
+  if (v < std::numeric_limits<int32_t>::min() ||
+      v > std::numeric_limits<int32_t>::max()) {
+    return netmark::Status::Corruption(netmark::StringPrintf(
+        "bad NODETYPE value %lld", static_cast<long long>(v)));
+  }
+  return xml::NetmarkNodeTypeFromInt(static_cast<int32_t>(v));
+}
+
+/// Fills the header fields from the seven int columns (indexed by Column).
+netmark::Status SetHeader(const int64_t (&ints)[kNodeColumns], NodeHeader* h) {
+  h->node_id = ints[NodeRecord::kNodeId];
+  h->doc_id = ints[NodeRecord::kDocId];
+  h->parent_rowid = RowId::Unpack(static_cast<uint64_t>(ints[NodeRecord::kParentRowId]));
+  h->parent_node_id = ints[NodeRecord::kParentNodeId];
+  NETMARK_ASSIGN_OR_RETURN(h->node_type, NodeTypeFromColumn(ints[NodeRecord::kNodeType]));
+  h->sibling_rowid = RowId::Unpack(static_cast<uint64_t>(ints[NodeRecord::kSiblingId]));
+  h->prev_rowid = RowId::Unpack(static_cast<uint64_t>(ints[NodeRecord::kPrevRowId]));
+  return netmark::Status::OK();
+}
+
+/// The one pass behind both decoders: fills `h`, and NODENAME/NODEDATA
+/// into `name`/`data` unless they are null (the structural decode).
+netmark::Status DecodeNodeRow(std::string_view bytes, NodeHeader* h, std::string* name,
+                              std::string* data) {
+  storage::RowReader in(bytes);
+  uint64_t arity = 0;
+  NETMARK_RETURN_NOT_OK(in.ReadCount(&arity));
+  if (arity != kNodeColumns) {
+    return netmark::Status::Corruption("XML row has wrong arity");
+  }
+  int64_t ints[kNodeColumns] = {};
+  for (size_t col = 0; col < kNodeColumns; ++col) {
+    ValueType tag = ValueType::kNull;
+    NETMARK_RETURN_NOT_OK(in.ReadTag(&tag));
+    if (IsStringColumn(col)) {
+      std::string* out = col == NodeRecord::kNodeName ? name : data;
+      if (tag == ValueType::kNull) {
+        if (out != nullptr) out->clear();
+        continue;
+      }
+      if (tag != ValueType::kString) return WrongColumnType(col);
+      std::string_view text;
+      NETMARK_RETURN_NOT_OK(in.ReadString(&text));
+      if (out != nullptr) out->assign(text);
+      continue;
+    }
+    if (tag != ValueType::kInt64) return WrongColumnType(col);
+    NETMARK_RETURN_NOT_OK(in.ReadInt(&ints[col]));
+  }
+  NETMARK_RETURN_NOT_OK(in.Finish());
+  return SetHeader(ints, h);
+}
+
+}  // namespace
+
+netmark::Result<NodeHeader> NodeHeader::Decode(std::string_view bytes) {
+  NodeHeader h;
+  NETMARK_RETURN_NOT_OK(DecodeNodeRow(bytes, &h, nullptr, nullptr));
+  return h;
+}
+
+netmark::Result<NodeRecord> NodeRecord::Decode(std::string_view bytes) {
+  NodeRecord r;
+  NETMARK_RETURN_NOT_OK(DecodeNodeRow(bytes, &r, &r.node_name, &r.node_data));
+  return r;
+}
 
 TableSchema NodeRecord::Schema() {
   return TableSchema(
@@ -43,21 +129,23 @@ Row NodeRecord::ToRow() const {
 }
 
 netmark::Result<NodeRecord> NodeRecord::FromRow(const Row& row) {
-  if (row.size() != 9) {
+  if (row.size() != kNodeColumns) {
     return netmark::Status::Corruption("XML row has wrong arity");
   }
   NodeRecord r;
-  r.node_id = row[kNodeId].AsInt();
-  r.doc_id = row[kDocId].AsInt();
-  r.parent_rowid = RowId::Unpack(static_cast<uint64_t>(row[kParentRowId].AsInt()));
-  r.parent_node_id = row[kParentNodeId].AsInt();
-  NETMARK_ASSIGN_OR_RETURN(
-      r.node_type,
-      xml::NetmarkNodeTypeFromInt(static_cast<int32_t>(row[kNodeType].AsInt())));
-  if (!row[kNodeName].is_null()) r.node_name = row[kNodeName].AsStr();
-  if (!row[kNodeData].is_null()) r.node_data = row[kNodeData].AsStr();
-  r.sibling_rowid = RowId::Unpack(static_cast<uint64_t>(row[kSiblingId].AsInt()));
-  r.prev_rowid = RowId::Unpack(static_cast<uint64_t>(row[kPrevRowId].AsInt()));
+  int64_t ints[kNodeColumns] = {};
+  for (size_t col = 0; col < kNodeColumns; ++col) {
+    const Value& v = row[col];
+    if (IsStringColumn(col)) {
+      if (v.is_null()) continue;
+      if (v.type() != ValueType::kString) return WrongColumnType(col);
+      (col == kNodeName ? r.node_name : r.node_data) = v.AsStr();
+      continue;
+    }
+    if (v.type() != ValueType::kInt64) return WrongColumnType(col);
+    ints[col] = v.AsInt();
+  }
+  NETMARK_RETURN_NOT_OK(SetHeader(ints, &r));
   return r;
 }
 

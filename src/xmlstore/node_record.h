@@ -29,17 +29,31 @@ inline constexpr std::string_view kCDataName = "#cdata";
 inline constexpr std::string_view kCommentName = "#comment";
 inline constexpr char kPiPrefix = '?';
 
-/// \brief Decoded XML-table row.
-struct NodeRecord {
+/// \brief The fixed-width columns of an XML-table row: every column but
+/// NODENAME and NODEDATA. What the query path's structural reads (posting
+/// verification, context walks, emphasis checks, answer keys) decode — no
+/// string is allocated for them.
+struct NodeHeader {
   int64_t node_id = 0;
   int64_t doc_id = 0;
   storage::RowId parent_rowid;   ///< physical address of the parent node row
   int64_t parent_node_id = -1;   ///< logical id of the parent (for index joins)
   xml::NetmarkNodeType node_type = xml::NetmarkNodeType::kElement;
-  std::string node_name;         ///< element/PI name ("" for text)
-  std::string node_data;         ///< text payload; attributes blob for elements
   storage::RowId sibling_rowid;  ///< next sibling (forward walk over content)
   storage::RowId prev_rowid;     ///< previous sibling (upward context walk)
+
+  /// Structural decode of an encoded XML row (EncodeRow bytes): the same
+  /// single pass and checks as NodeRecord::Decode, skipping the strings.
+  static netmark::Result<NodeHeader> Decode(std::string_view bytes);
+
+  bool is_context() const { return node_type == xml::NetmarkNodeType::kContext; }
+  bool is_text() const { return node_type == xml::NetmarkNodeType::kText; }
+};
+
+/// \brief Decoded XML-table row.
+struct NodeRecord : NodeHeader {
+  std::string node_name;  ///< element/PI name ("" for text)
+  std::string node_data;  ///< text payload; attributes blob for elements
 
   /// Schema of the XML table.
   static storage::TableSchema Schema();
@@ -57,10 +71,13 @@ struct NodeRecord {
   };
 
   storage::Row ToRow() const;
+  /// Decodes a row a Table API handed out.
   static netmark::Result<NodeRecord> FromRow(const storage::Row& row);
-
-  bool is_context() const { return node_type == xml::NetmarkNodeType::kContext; }
-  bool is_text() const { return node_type == xml::NetmarkNodeType::kText; }
+  /// Decodes an encoded XML row in one pass, straight from its bytes (no
+  /// intermediate Row). Corruption unless the row has 9 columns, each with
+  /// its schema's tag (NULL only in NODENAME/NODEDATA), no truncated value,
+  /// no trailing byte, and a NODETYPE in range.
+  static netmark::Result<NodeRecord> Decode(std::string_view bytes);
 };
 
 /// \brief Decoded DOC-table row (paper Fig 5: FILE_NAME, FILE_DATE,

@@ -37,6 +37,9 @@ thread_local std::vector<ThreadPin> t_pins;
 /// writer reads its own working copies, which GC never touches).
 constexpr int kWriterSlot = -2;
 
+/// XML rows this thread has read (XmlStore::NodeReadsOnThisThread).
+thread_local uint64_t t_node_reads = 0;
+
 }  // namespace
 
 std::string EncodeAttributes(const std::vector<xml::Attribute>& attrs) {
@@ -461,9 +464,11 @@ netmark::Result<int64_t> XmlStore::InsertPreparedLocked(const PreparedDocument& 
 
 namespace {
 
-// Decodes the node rows an XML-table index lookup verified.
+// Decodes the node rows an XML-table index lookup verified (and counts
+// them as this thread's reads).
 netmark::Result<std::vector<StoredNode>> DecodeNodes(
     const std::vector<storage::IndexedRow>& rows) {
+  t_node_reads += rows.size();
   std::vector<StoredNode> out;
   out.reserve(rows.size());
   for (const storage::IndexedRow& hit : rows) {
@@ -528,6 +533,40 @@ netmark::Result<DocRecord> XmlStore::GetDocumentInfo(int64_t doc_id) const {
         netmark::StringPrintf("no document %lld", static_cast<long long>(doc_id)));
   }
   return DocRecord::FromRow(doc_rows[0].row);
+}
+
+netmark::Result<std::vector<DocRecord>> XmlStore::FindDocumentsByName(
+    std::string_view file_name) const {
+  std::vector<DocRecord> out;
+  NETMARK_RETURN_NOT_OK(doc_table_->ScanBytes(
+      [&](RowId, std::string_view bytes) -> netmark::Status {
+        // DOC_ID and FILE_NAME lead the row; a mismatch stops reading there.
+        storage::RowReader in(bytes);
+        uint64_t arity = 0;
+        storage::ValueType tag = storage::ValueType::kNull;
+        int64_t doc_id = 0;
+        std::string_view name;
+        NETMARK_RETURN_NOT_OK(in.ReadCount(&arity));
+        NETMARK_RETURN_NOT_OK(in.ReadTag(&tag));
+        if (arity < 2 || tag != storage::ValueType::kInt64) {
+          return netmark::Status::Corruption("DOC row has wrong layout");
+        }
+        NETMARK_RETURN_NOT_OK(in.ReadInt(&doc_id));
+        NETMARK_RETURN_NOT_OK(in.ReadTag(&tag));
+        if (tag != storage::ValueType::kString) {
+          return netmark::Status::Corruption("DOC row has wrong layout");
+        }
+        NETMARK_RETURN_NOT_OK(in.ReadString(&name));
+        if (name != file_name) return netmark::Status::OK();
+        NETMARK_ASSIGN_OR_RETURN(Row row, storage::DecodeRow(bytes));
+        NETMARK_ASSIGN_OR_RETURN(DocRecord rec, DocRecord::FromRow(row));
+        out.push_back(std::move(rec));
+        return netmark::Status::OK();
+      },
+      ResolveReadEpoch()));
+  std::sort(out.begin(), out.end(),
+            [](const DocRecord& a, const DocRecord& b) { return a.doc_id < b.doc_id; });
+  return out;
 }
 
 netmark::Result<std::vector<DocRecord>> XmlStore::ListDocuments() const {
@@ -643,9 +682,20 @@ netmark::Result<xml::Document> XmlStore::ReconstructSubtree(RowId node) const {
 }
 
 netmark::Result<NodeRecord> XmlStore::GetNode(RowId id) const {
-  NETMARK_ASSIGN_OR_RETURN(Row row, xml_table_->Get(id, ResolveReadEpoch()));
-  return NodeRecord::FromRow(row);
+  storage::RecordRef rec;
+  NETMARK_RETURN_NOT_OK(xml_table_->Read(id, ResolveReadEpoch(), &rec));
+  ++t_node_reads;
+  return NodeRecord::Decode(rec.bytes());
 }
+
+netmark::Result<NodeHeader> XmlStore::GetNodeHeader(RowId id) const {
+  storage::RecordRef rec;
+  NETMARK_RETURN_NOT_OK(xml_table_->Read(id, ResolveReadEpoch(), &rec));
+  ++t_node_reads;
+  return NodeHeader::Decode(rec.bytes());
+}
+
+uint64_t XmlStore::NodeReadsOnThisThread() { return t_node_reads; }
 
 netmark::Result<std::vector<StoredNode>> XmlStore::Children(
     int64_t parent_node_id) const {
@@ -667,6 +717,7 @@ netmark::Result<RowId> XmlStore::NodeByDocAndId(int64_t doc_id, int64_t node_id)
       xml_table_->IndexLookup("xml_by_doc",
                               IndexKey{Value::Int(doc_id), Value::Int(node_id)},
                               ResolveReadEpoch()));
+  t_node_reads += hits.size();
   if (hits.empty()) {
     return netmark::Status::NotFound(netmark::StringPrintf(
         "no node %lld in document %lld", static_cast<long long>(node_id),
@@ -676,10 +727,21 @@ netmark::Result<RowId> XmlStore::NodeByDocAndId(int64_t doc_id, int64_t node_id)
 }
 
 netmark::Result<std::string> XmlStore::SubtreeText(RowId node) const {
-  std::string out;
   NETMARK_ASSIGN_OR_RETURN(NodeRecord top, GetNode(node));
-  std::vector<NodeRecord> stack;
-  stack.push_back(std::move(top));
+  return SubtreeText(top);
+}
+
+netmark::Result<std::string> XmlStore::SubtreeText(const NodeRecord& top) const {
+  if (top.is_text()) return top.node_data;
+  return DescendantText(top.node_id);
+}
+
+netmark::Result<std::string> XmlStore::DescendantText(int64_t node_id) const {
+  std::string out;
+  // A stand-in element for the node itself: the first pass lists its
+  // children.
+  std::vector<NodeRecord> stack(1);
+  stack[0].node_id = node_id;
   while (!stack.empty()) {
     NodeRecord rec = std::move(stack.back());
     stack.pop_back();

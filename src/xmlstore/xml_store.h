@@ -131,6 +131,10 @@ class XmlStore {
 
   netmark::Result<DocRecord> GetDocumentInfo(int64_t doc_id) const;
   netmark::Result<std::vector<DocRecord>> ListDocuments() const;
+  /// Documents stored under `file_name`, by doc id: one DOC-table scan that
+  /// compares FILE_NAME in the row bytes and decodes only the matches.
+  netmark::Result<std::vector<DocRecord>> FindDocumentsByName(
+      std::string_view file_name) const;
   uint64_t document_count() const;
   uint64_t node_count() const;
 
@@ -149,8 +153,18 @@ class XmlStore {
   // held), so signatures stay epoch-free.
 
   /// Fetches one node row by physical address — the O(1) hop everything
-  /// else builds on.
+  /// else builds on. The row is decoded in one pass from the bytes in the
+  /// pinned page.
   netmark::Result<NodeRecord> GetNode(storage::RowId id) const;
+
+  /// GetNode without NODENAME/NODEDATA: the read for hops and checks that
+  /// need only ids, type and links.
+  netmark::Result<NodeHeader> GetNodeHeader(storage::RowId id) const;
+
+  /// XML rows read by the calling thread so far, across all stores: one per
+  /// GetNode/GetNodeHeader and per row an XML-table index lookup verified.
+  /// Callers diff it around an operation to count that operation's reads.
+  static uint64_t NodeReadsOnThisThread();
 
   /// Children of the node with logical id `parent_node_id`, in document
   /// order, with their rows (index join on PARENTNODEID; the rowid links
@@ -164,6 +178,11 @@ class XmlStore {
 
   /// Concatenated text of the subtree rooted at `node`.
   netmark::Result<std::string> SubtreeText(storage::RowId node) const;
+  /// SubtreeText of a node whose row is already in hand.
+  netmark::Result<std::string> SubtreeText(const NodeRecord& top) const;
+  /// SubtreeText of a non-TEXT node known by its logical id: the text of
+  /// its descendants (a TEXT node has none).
+  netmark::Result<std::string> DescendantText(int64_t node_id) const;
 
   /// All node rows of a document in pre-order (NODEID order).
   netmark::Result<std::vector<StoredNode>> DocumentNodes(int64_t doc_id) const;

@@ -96,6 +96,8 @@ TEST_F(ObservabilityHttpTest, MetricsEndpointExposesRegistry) {
             std::string::npos);
   // Executor metrics re-homed onto the instance registry.
   EXPECT_NE(resp.body.find("netmark_xdb_executes_total 1"), std::string::npos);
+  EXPECT_NE(resp.body.find("# TYPE netmark_xdb_node_reads_total counter"),
+            std::string::npos);
   // Ingestion histograms are registered (by the facade wiring) even before a
   // daemon runs.
   EXPECT_NE(resp.body.find("netmark_federation_queries_total"), std::string::npos);

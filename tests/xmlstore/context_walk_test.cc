@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/temp_dir.h"
+#include "query/executor.h"
 #include "xml/parser.h"
 
 namespace netmark::xmlstore {
@@ -148,6 +149,49 @@ TEST_F(ContextWalkTest, UpmarkedNestedContentLayout) {
   auto text = SectionText(*store_, *ctx);
   ASSERT_TRUE(text.ok());
   EXPECT_NE(text->find("text index"), std::string::npos);
+}
+
+// The executor reads each XML row it needs exactly once: every posting's
+// row (its visibility check), each walk hop after it, and the rows of the
+// sections it builds. A re-read — a walk that fetches its start row again, a
+// pass that re-reads candidate headings for their answer key, a section
+// body walked twice — changes these counts.
+TEST_F(ContextWalkTest, ExecutorReadsEachRowOnce) {
+  query::QueryExecutor executor(store_.get());
+  query::QueryExecutor::Stats stats;
+
+  // context=Technology. Postings: "Middleware technology..." (text under
+  // the second <p> of Introduction), "Technology Gap" (heading text) and
+  // "The technology gap..." (text under its <p>).
+  query::XdbQuery context_only;
+  context_only.context = "Technology";
+  auto hits = executor.Execute(context_only, &stats);
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  ASSERT_EQ(hits->size(), 1u);
+  EXPECT_EQ((*hits)[0].heading, "Technology Gap");
+  const size_t postings = 3;
+  // text -> <p> -> <p> -> <h1>Introduction; text -> <h1>Technology Gap;
+  // text -> <p> -> <h1>Technology Gap.
+  const size_t walk_hops = 3 + 1 + 2;
+  // Introduction: its heading text (1 row), which does not match.
+  // Technology Gap: heading text (1), then one walk of its run: the <p>, the
+  // <p>'s text, and the next <h1> that ends the run.
+  const size_t section_reads = 1 + (1 + 3);
+  EXPECT_EQ(stats.index_probes, 1u);
+  EXPECT_EQ(stats.nodes_walked, postings);
+  EXPECT_EQ(stats.node_reads, postings + walk_hops + section_reads);
+
+  // context=Technology&content=shrinking: one posting, walked
+  // text -> <p> -> <h1>; the one candidate's heading matches and its body
+  // is read as above.
+  query::XdbQuery combined;
+  combined.context = "Technology";
+  combined.content = "shrinking";
+  hits = executor.Execute(combined, &stats);
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  ASSERT_EQ(hits->size(), 1u);
+  EXPECT_NE((*hits)[0].text.find("shrinking"), std::string::npos);
+  EXPECT_EQ(stats.node_reads, 1u + 2u + (1u + 3u));
 }
 
 }  // namespace

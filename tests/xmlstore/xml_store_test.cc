@@ -255,6 +255,24 @@ TEST_F(XmlStoreTest, ListDocumentsSorted) {
   EXPECT_EQ((*docs)[2].file_name, "c.xml");
 }
 
+TEST_F(XmlStoreTest, FindDocumentsByNameMatchesOnlyThatName) {
+  int64_t first = Insert("<a/>", "same.xml");
+  Insert("<b/>", "other.xml");
+  int64_t second = Insert("<c/>", "same.xml");
+  auto found = store_->FindDocumentsByName("same.xml");
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  ASSERT_EQ(found->size(), 2u);
+  EXPECT_EQ((*found)[0].doc_id, first);
+  EXPECT_EQ((*found)[1].doc_id, second);
+  EXPECT_EQ((*found)[1].file_name, "same.xml");
+  EXPECT_TRUE(store_->FindDocumentsByName("same.xm")->empty());
+  EXPECT_TRUE(store_->FindDocumentsByName("")->empty());
+  // A snapshot taken before a delete still finds the deleted document.
+  XmlStore::ReadSnapshot snapshot = store_->BeginRead();
+  ASSERT_TRUE(store_->DeleteDocument(first).ok());
+  EXPECT_EQ(store_->FindDocumentsByName("same.xml")->size(), 2u);
+}
+
 // Runs in the TSan CI matrix (test name matches its Scrubber filter): the
 // paced background scrub thread and an on-demand ScrubAll race writers and
 // readers; nothing may tear, false-quarantine, or deadlock.

@@ -21,11 +21,13 @@ DOCS=${3:-24}
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/netmark_disk.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
 
-# Deterministic PRNG (LCG), identical to crash_torture.sh.
+# Deterministic PRNG (LCG), identical to crash_torture.sh. `rand N` sets R
+# in [0, N). Call it directly, never inside $(...): a subshell's STATE
+# update is lost, and every draw would repeat the first.
 STATE=$((SEED + 0x9E3779B9))
-rand() { # rand N -> [0, N)
+rand() {
   STATE=$(( (STATE * 6364136223846793005 + 1442695040888963407) & 0x7FFFFFFFFFFFFFFF ))
-  echo $(( (STATE >> 17) % $1 ))
+  R=$(( (STATE >> 17) % $1 ))
 }
 
 fail() {
@@ -43,8 +45,15 @@ ingest() { # ingest DATA DROP -> torture-ingest exit code
 # must latch degraded mode and refuse further mutations. Exit 0 means the
 # corpus drained before the fault fired (large nth) — equally fine.
 KINDS=(write_eio write_enospc fsync_fail)
-kind=${KINDS[$(rand 3)]}
-if [ "$kind" = fsync_fail ]; then nth=$(( $(rand 6) + 1 )); else nth=$(( $(rand 70) + 10 )); fi
+rand 3
+kind=${KINDS[$R]}
+if [ "$kind" = fsync_fail ]; then
+  rand 6
+  nth=$((R + 1))
+else
+  rand 70
+  nth=$((R + 10))
+fi
 echo "--- phase A: NETMARK_DISK_FAULT=${kind}:${nth}"
 "$BIN" torture-gen --drop "$WORK/a_drop" --count "$DOCS" --seed "$SEED" >/dev/null || exit 1
 NETMARK_DISK_FAULT="${kind}:${nth}" ingest "$WORK/a_data" "$WORK/a_drop"
@@ -69,7 +78,8 @@ ingest "$WORK/a_data" "$WORK/a_drop" >/dev/null \
 # --- Phase B: torn page write (garbled first half synced to disk, then ---
 # SIGKILL-equivalent _exit). Recovery must repair or discard the torn page
 # from the WAL; no acked document may be affected.
-nth=$(( $(rand 60) + 10 ))
+rand 60
+nth=$((R + 10))
 echo "--- phase B: NETMARK_DISK_FAULT=write_torn:${nth}"
 "$BIN" torture-gen --drop "$WORK/b_drop" --count "$DOCS" --seed "$((SEED + 1))" >/dev/null || exit 1
 NETMARK_DISK_FAULT="write_torn:${nth}" ingest "$WORK/b_data" "$WORK/b_drop" 2>/dev/null
@@ -91,7 +101,8 @@ ingest "$WORK/b_data" "$WORK/b_drop" >/dev/null \
 # document must still verify byte-identical. checkpoint-bytes 1 forces a
 # checkpoint+truncate on every commit so the WAL cannot mask the flip by
 # replaying a clean page image over it.
-offset=$(( 64 + $(rand 4000) ))
+rand 4000
+offset=$((R + 64))
 echo "--- phase C: corrupt XML.heap page 0 offset ${offset}"
 "$BIN" torture-gen --drop "$WORK/c_drop" --count "$DOCS" --seed "$((SEED + 2))" >/dev/null || exit 1
 ingest "$WORK/c_data" "$WORK/c_drop" 1 >/dev/null \

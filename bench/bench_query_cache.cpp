@@ -145,7 +145,7 @@ int main() {
   // Phase 1: cache off (the pre-cache read path), steady epoch.
   {
     query::ResultCacheOptions off;
-    off.enabled = false;
+    off.max_entries = 0;
     cache->Configure(off);
     PhaseResult r = RunPhase(executor, mix, off_micros, seconds, 1);
     report("cache_off", r, 0.0);

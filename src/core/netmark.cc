@@ -20,11 +20,11 @@ Result<std::unique_ptr<Netmark>> Netmark::Open(const NetmarkOptions& options) {
   // everything.
   nm->store_->BindMetrics(nm->metrics_.get());
   nm->router_.BindMetrics(nm->metrics_.get());
-  nm->service_ = std::make_unique<server::NetmarkService>(nm->store_.get());
+  nm->service_ = std::make_unique<server::NetmarkService>(
+      nm->store_.get(), options.query_cache, options.plan_cache);
   nm->service_->set_router(&nm->router_);
   nm->service_->BindMetrics(nm->metrics_.get());
   nm->service_->set_slow_query_ms(options.slow_query_ms);
-  nm->service_->ConfigureQueryCache(options.query_cache, options.plan_cache);
   nm->service_->ConfigureTracing(options.trace_store);
   return nm;
 }
@@ -51,45 +51,19 @@ Result<int64_t> Netmark::IngestContent(const std::string& file_name,
 
 Result<std::vector<query::QueryHit>> Netmark::Query(const std::string& query_string) {
   NETMARK_ASSIGN_OR_RETURN(query::XdbQuery q, query::ParseXdbQuery(query_string));
-  query::QueryExecutor executor(store_.get());
-  executor.BindMetrics(metrics_.get());
-  // The ad-hoc executor shares the service's caches (same store, so the
-  // epoch-keyed result cache is valid here too).
-  executor.set_result_cache(service_->result_cache());
-  executor.set_plan_cache(service_->plan_cache());
-  return executor.Execute(q);
+  return service_->read_path()->Execute(q);
 }
 
 Result<std::string> Netmark::QueryToXml(const std::string& query_string) {
   NETMARK_ASSIGN_OR_RETURN(query::XdbQuery q, query::ParseXdbQuery(query_string));
-  query::QueryExecutor executor(store_.get());
-  executor.BindMetrics(metrics_.get());
-  executor.set_result_cache(service_->result_cache());
-  executor.set_plan_cache(service_->plan_cache());
-  // One snapshot spans execute + compose (same consistent view).
-  xmlstore::XmlStore::ReadSnapshot snapshot = store_->BeginRead();
-  NETMARK_ASSIGN_OR_RETURN(std::vector<query::QueryHit> hits,
-                           executor.Execute(q, snapshot));
-  NETMARK_ASSIGN_OR_RETURN(xml::Document results,
-                           query::ComposeResults(*store_, q, hits));
+  NETMARK_ASSIGN_OR_RETURN(xml::Document results, service_->read_path()->Compose(q));
   return xml::Serialize(results);
 }
 
 Result<std::string> Netmark::QueryAndTransform(const std::string& query_string,
                                                std::string_view stylesheet_text) {
   NETMARK_ASSIGN_OR_RETURN(query::XdbQuery q, query::ParseXdbQuery(query_string));
-  query::QueryExecutor executor(store_.get());
-  executor.BindMetrics(metrics_.get());
-  executor.set_result_cache(service_->result_cache());
-  executor.set_plan_cache(service_->plan_cache());
-  xml::Document results;
-  {
-    // One snapshot spans execute + compose (same consistent view).
-    xmlstore::XmlStore::ReadSnapshot snapshot = store_->BeginRead();
-    NETMARK_ASSIGN_OR_RETURN(std::vector<query::QueryHit> hits,
-                             executor.Execute(q, snapshot));
-    NETMARK_ASSIGN_OR_RETURN(results, query::ComposeResults(*store_, q, hits));
-  }
+  NETMARK_ASSIGN_OR_RETURN(xml::Document results, service_->read_path()->Compose(q));
   NETMARK_ASSIGN_OR_RETURN(xml::Document transformed,
                            xslt::Transform(stylesheet_text, results));
   return xml::Serialize(transformed);
@@ -107,14 +81,10 @@ Result<std::vector<xmlstore::DocRecord>> Netmark::ListDocuments() const {
 }
 
 Status Netmark::RegisterSelfAsSource(const std::string& source_name) {
-  auto source =
-      std::make_shared<federation::LocalStoreSource>(source_name, store_.get());
-  source->BindMetrics(metrics_.get());
-  // The self-source wraps the same store, so sharing the service's
-  // epoch-keyed result cache is safe (and lets /xdb and databank queries
-  // feed one another's entries).
-  source->set_caches(service_->result_cache(), service_->plan_cache());
-  return router_.RegisterSource(std::move(source));
+  // The self-source serves through the service's read path, so /xdb and
+  // databank queries feed one another's cache entries.
+  return router_.RegisterSource(std::make_shared<federation::LocalStoreSource>(
+      source_name, service_->read_path()));
 }
 
 Status Netmark::RegisterSource(std::shared_ptr<federation::Source> source) {

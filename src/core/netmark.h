@@ -23,8 +23,7 @@
 #include "federation/router.h"
 #include "observability/metrics.h"
 #include "observability/slow_log.h"
-#include "query/compose.h"
-#include "query/executor.h"
+#include "query/read_path.h"
 #include "server/daemon.h"
 #include "server/http_server.h"
 #include "server/netmark_service.h"
@@ -51,9 +50,9 @@ struct NetmarkOptions {
   /// Slow-query log threshold (ms; 0 disables). The NETMARK_SLOW_QUERY_MS
   /// env var always wins.
   int64_t slow_query_ms = observability::kDefaultSlowQueryMs;
-  /// Result-cache sizing (the `[query]` INI section: cache_enabled /
-  /// cache_entries / cache_bytes). Entries are keyed by (canonical query,
-  /// commit epoch) — see docs/query_cache.md.
+  /// Result-cache sizing (the `[query]` INI section: cache_entries /
+  /// cache_bytes; 0 disables). Entries are keyed by (canonical query, commit
+  /// epoch) — see docs/query_cache.md.
   query::ResultCacheOptions query_cache;
   /// Compiled-plan cache sizing (`[query] plan_entries`).
   query::QueryPlanCache::Options plan_cache;

@@ -1,15 +1,25 @@
 #include "federation/local_source.h"
 
-#include "xml/serializer.h"
+#include "federation/remote_source.h"
 
 namespace netmark::federation {
+
+LocalStoreSource::LocalStoreSource(std::string name,
+                                   const xmlstore::XmlStore* store)
+    : name_(std::move(name)),
+      // 0 entries: a bare store keeps no caches (a store shared with a
+      // service is reached through the service's read path instead).
+      owned_path_(std::make_unique<query::ReadPath>(
+          store, query::ResultCacheOptions{0, 0}, query::QueryPlanCache::Options{0})),
+      read_path_(owned_path_.get()) {}
 
 netmark::Result<std::shared_ptr<LocalStoreSource>> LocalStoreSource::OpenOwned(
     std::string name, const std::string& dir) {
   NETMARK_ASSIGN_OR_RETURN(std::unique_ptr<xmlstore::XmlStore> store,
                            xmlstore::XmlStore::Open(dir));
-  return std::shared_ptr<LocalStoreSource>(
-      new LocalStoreSource(std::move(name), std::move(store)));
+  auto source = std::make_shared<LocalStoreSource>(std::move(name), store.get());
+  source->owned_store_ = std::move(store);
+  return source;
 }
 
 netmark::Result<std::vector<FederatedHit>> LocalStoreSource::Execute(
@@ -18,29 +28,8 @@ netmark::Result<std::vector<FederatedHit>> LocalStoreSource::Execute(
     return netmark::Status::DeadlineExceeded("local source " + name_ +
                                              ": deadline expired");
   }
-  // One snapshot spans the query and the per-hit markup reconstruction so
-  // the fragments match the hits even under concurrent ingestion.
-  xmlstore::XmlStore::ReadSnapshot snapshot = store_->BeginRead();
-  NETMARK_ASSIGN_OR_RETURN(std::vector<query::QueryHit> hits,
-                           executor_.Execute(query, snapshot));
-  std::vector<FederatedHit> out;
-  out.reserve(hits.size());
-  for (const query::QueryHit& hit : hits) {
-    FederatedHit fh;
-    fh.doc_id = hit.doc_id;
-    fh.file_name = hit.file_name;
-    fh.heading = hit.heading;
-    fh.text = hit.text;
-    if (hit.context.valid()) {
-      // Include the section markup so downstream composition can embed it.
-      auto fragment = store_->ReconstructSubtree(hit.context);
-      if (fragment.ok()) {
-        fh.markup = xml::Serialize(*fragment, fragment->root());
-      }
-    }
-    out.push_back(std::move(fh));
-  }
-  return out;
+  NETMARK_ASSIGN_OR_RETURN(xml::Document results, read_path_->Compose(query));
+  return HitsFromResults(results);
 }
 
 }  // namespace netmark::federation

@@ -1,4 +1,8 @@
 // LocalStoreSource: full-capability source backed by an in-process XmlStore.
+// It composes its answer through a query::ReadPath and reads the `<results>`
+// document back with HitsFromResults, the same function RemoteSource reads
+// a response with, so an in-process store and a remote one give identical
+// hits.
 
 #ifndef NETMARK_FEDERATION_LOCAL_SOURCE_H_
 #define NETMARK_FEDERATION_LOCAL_SOURCE_H_
@@ -7,9 +11,7 @@
 #include <string>
 
 #include "federation/source.h"
-#include "query/executor.h"
-#include "query/plan.h"
-#include "query/result_cache.h"
+#include "query/read_path.h"
 #include "xmlstore/xml_store.h"
 
 namespace netmark::federation {
@@ -17,50 +19,30 @@ namespace netmark::federation {
 /// \brief Adapter exposing a NETMARK XML Store as a federated source.
 class LocalStoreSource : public Source {
  public:
-  /// Wraps a store owned elsewhere (must outlive the source).
-  LocalStoreSource(std::string name, const xmlstore::XmlStore* store)
-      : name_(std::move(name)), store_(store), executor_(store) {}
+  /// Wraps a store owned elsewhere (must outlive the source); runs uncached.
+  LocalStoreSource(std::string name, const xmlstore::XmlStore* store);
+  /// Serves through a read path owned elsewhere (must outlive the source),
+  /// sharing its caches — how the facade registers its own store.
+  LocalStoreSource(std::string name, const query::ReadPath* read_path)
+      : name_(std::move(name)), read_path_(read_path) {}
 
   /// Opens the store at `dir` and owns it for the source's lifetime (the
-  /// form declarative databank configs use).
+  /// form declarative databank configs use); runs uncached.
   static netmark::Result<std::shared_ptr<LocalStoreSource>> OpenOwned(
       std::string name, const std::string& dir);
 
   const std::string& name() const override { return name_; }
   Capabilities capabilities() const override { return Capabilities::Full(); }
 
-  /// Instruments the inner executor (netmark_xdb_* metrics); call before
-  /// traffic.
-  void BindMetrics(observability::MetricsRegistry* registry) {
-    executor_.BindMetrics(registry);
-  }
-
-  /// Shares read-path caches with the inner executor; call before traffic.
-  /// `results` MUST belong to the same store this source wraps (its keys
-  /// carry that store's commit epochs) — the facade wires its service's
-  /// caches into the self-registered source here. `plans` is
-  /// store-independent and always safe to share.
-  void set_caches(query::QueryResultCache* results,
-                  query::QueryPlanCache* plans) {
-    executor_.set_result_cache(results);
-    executor_.set_plan_cache(plans);
-  }
-
   using Source::Execute;
   netmark::Result<std::vector<FederatedHit>> Execute(
       const query::XdbQuery& query, const CallContext& ctx) override;
 
  private:
-  LocalStoreSource(std::string name, std::unique_ptr<xmlstore::XmlStore> owned)
-      : name_(std::move(name)),
-        owned_(std::move(owned)),
-        store_(owned_.get()),
-        executor_(owned_.get()) {}
-
   std::string name_;
-  std::unique_ptr<xmlstore::XmlStore> owned_;  // null when externally owned
-  const xmlstore::XmlStore* store_;
-  query::QueryExecutor executor_;
+  std::unique_ptr<xmlstore::XmlStore> owned_store_;  // set by OpenOwned
+  std::unique_ptr<query::ReadPath> owned_path_;      // null when borrowed
+  const query::ReadPath* read_path_;
 };
 
 }  // namespace netmark::federation

@@ -50,12 +50,11 @@ void CollectRemoteSpans(const xml::Document& doc, xml::NodeId el, int parent,
 
 }  // namespace
 
-netmark::Result<std::vector<FederatedHit>> ParseResultsDocument(
-    std::string_view body, std::vector<observability::SpanData>* remote_spans) {
-  NETMARK_ASSIGN_OR_RETURN(xml::Document doc, xml::ParseXml(body));
+netmark::Result<std::vector<FederatedHit>> HitsFromResults(
+    const xml::Document& doc, std::vector<observability::SpanData>* remote_spans) {
   xml::NodeId results = doc.DocumentElement();
   if (results == xml::kInvalidNode || doc.name(results) != "results") {
-    return netmark::Status::ParseError("remote response is not a <results> document");
+    return netmark::Status::ParseError("response is not a <results> document");
   }
   if (remote_spans != nullptr) {
     xml::NodeId trace_el = doc.FirstChildElement(results, "trace");
@@ -73,6 +72,11 @@ netmark::Result<std::vector<FederatedHit>> ParseResultsDocument(
     hit.file_name = std::string(doc.GetAttribute(result, "doc"));
     auto doc_id = netmark::ParseInt64(doc.GetAttribute(result, "docid"));
     if (doc_id.ok()) hit.doc_id = *doc_id;
+    // A document-level hit's text is its <snippet> (the matched slice); its
+    // heading stays "" — the snippet's section attribute labels the slice, it
+    // does not make the hit a section.
+    xml::NodeId snippet = doc.FirstChildElement(result, "snippet");
+    if (snippet != xml::kInvalidNode) hit.text = doc.TextContent(snippet);
     xml::NodeId context = doc.FirstChildElement(result, "context");
     if (context != xml::kInvalidNode) hit.heading = doc.TextContent(context);
     xml::NodeId content = doc.FirstChildElement(result, "content");
@@ -88,6 +92,12 @@ netmark::Result<std::vector<FederatedHit>> ParseResultsDocument(
     out.push_back(std::move(hit));
   }
   return out;
+}
+
+netmark::Result<std::vector<FederatedHit>> ParseResultsDocument(
+    std::string_view body, std::vector<observability::SpanData>* remote_spans) {
+  NETMARK_ASSIGN_OR_RETURN(xml::Document doc, xml::ParseXml(body));
+  return HitsFromResults(doc, remote_spans);
 }
 
 netmark::Result<std::vector<FederatedHit>> RemoteSource::Execute(

@@ -13,6 +13,7 @@
 
 #include "federation/source.h"
 #include "observability/trace.h"
+#include "xml/dom.h"
 
 namespace netmark::federation {
 
@@ -53,13 +54,19 @@ class RemoteSource : public Source {
   Capabilities capabilities_;
 };
 
-/// \brief Parses a `<results>` document (the XDB endpoint's response format;
-/// see query::ComposeResults) back into federated hits. Exposed for tests.
-/// When `remote_spans` is non-null and the document carries a `<trace>`
+/// \brief Reads a `<results>` document (the XDB endpoint's response format;
+/// see query::ComposeResults) as federated hits: `<context>` is the heading,
+/// `<content>` the text and markup, and a document-level hit's `<snippet>`
+/// its text. When `remote_spans` is non-null and the document carries a `<trace>`
 /// block (the remote saw our traceparent header), the remote's span subtree
 /// is decoded into it — ids/parents are indices into the output vector,
 /// timestamps are synthetic (duration-only; remote clocks don't align) —
 /// ready for Trace::Graft under the local `source:*` span.
+netmark::Result<std::vector<FederatedHit>> HitsFromResults(
+    const xml::Document& doc,
+    std::vector<observability::SpanData>* remote_spans = nullptr);
+
+/// \brief Parses a response body and reads it with HitsFromResults.
 netmark::Result<std::vector<FederatedHit>> ParseResultsDocument(
     std::string_view body,
     std::vector<observability::SpanData>* remote_spans = nullptr);

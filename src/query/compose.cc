@@ -7,8 +7,7 @@ namespace netmark::query {
 
 netmark::Result<xml::Document> ComposeResults(const xmlstore::XmlStore& store,
                                               const XdbQuery& query,
-                                              const std::vector<QueryHit>& hits,
-                                              const ComposeOptions& options) {
+                                              const std::vector<QueryHit>& hits) {
   xml::Document out;
   xml::NodeId results = out.CreateElement("results");
   out.AddAttribute(results, "query", query.ToQueryString());
@@ -22,7 +21,7 @@ netmark::Result<xml::Document> ComposeResults(const xmlstore::XmlStore& store,
     // whole — never a silently truncated section — and the result set is
     // marked partial below.
     std::vector<xml::Document> fragments;
-    if (hit.context.valid() && options.include_markup) {
+    if (hit.context.valid()) {
       bool data_loss = false;
       auto body = xmlstore::SectionContent(store, hit.context);
       if (!body.ok()) {
@@ -85,15 +84,11 @@ netmark::Result<xml::Document> ComposeResults(const xmlstore::XmlStore& store,
 
     xml::NodeId content = out.CreateElement("content");
     out.AppendChild(result, content);
-    if (options.include_markup) {
-      for (const xml::Document& fragment : fragments) {
-        for (xml::NodeId child = fragment.first_child(fragment.root());
-             child != xml::kInvalidNode; child = fragment.next_sibling(child)) {
-          out.AppendChild(content, out.ImportSubtree(fragment, child));
-        }
+    for (const xml::Document& fragment : fragments) {
+      for (xml::NodeId child = fragment.first_child(fragment.root());
+           child != xml::kInvalidNode; child = fragment.next_sibling(child)) {
+        out.AppendChild(content, out.ImportSubtree(fragment, child));
       }
-    } else {
-      out.AppendChild(content, out.CreateText(hit.text));
     }
   }
   out.AddAttribute(results, "count", std::to_string(emitted));

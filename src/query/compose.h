@@ -13,25 +13,18 @@
 
 namespace netmark::query {
 
-/// Composition knobs.
-struct ComposeOptions {
-  /// Embed the full reconstructed section markup (not just flat text).
-  bool include_markup = true;
-};
-
 /// \brief Builds the result document:
 ///
 ///   <results query="...">
 ///     <result doc="file" docid="1">
 ///       <context>Heading</context>
-///       <content> ...section markup or text... </content>
+///       <content> ...section markup... </content>
 ///     </result>
 ///     ...
 ///   </results>
 netmark::Result<xml::Document> ComposeResults(const xmlstore::XmlStore& store,
                                               const XdbQuery& query,
-                                              const std::vector<QueryHit>& hits,
-                                              const ComposeOptions& options = {});
+                                              const std::vector<QueryHit>& hits);
 
 }  // namespace netmark::query
 

@@ -375,7 +375,10 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::XPathQuery(
   std::vector<QueryHit> hits;
   for (int64_t doc_id : docs) {
     if (Full(hits, query.limit)) break;
-    NETMARK_SKIP_ON_DATALOSS(info, store_->GetDocumentInfo(doc_id), stats, {
+    auto found = store_->GetDocumentInfo(doc_id);
+    // A `doc=` naming no document is an empty answer, as on the other plans.
+    if (!found.ok() && found.status().IsNotFound()) continue;
+    NETMARK_SKIP_ON_DATALOSS(info, std::move(found), stats, {
       store_->NoteQuarantinedDoc(doc_id);
       continue;
     });
@@ -413,17 +416,7 @@ void QueryExecutor::BindMetrics(observability::MetricsRegistry* registry) {
 netmark::Result<std::vector<QueryHit>> QueryExecutor::Execute(
     const XdbQuery& query, Stats* stats) const {
   xmlstore::XmlStore::ReadSnapshot snapshot = store_->BeginRead();
-  return ExecuteUnderSnapshot(query, snapshot.epoch(), stats);
-}
-
-netmark::Result<std::vector<QueryHit>> QueryExecutor::Execute(
-    const XdbQuery& query, const xmlstore::XmlStore::ReadSnapshot& snapshot,
-    Stats* stats) const {
-  // The caller's snapshot already pins the view (and supplies the commit
-  // epoch the result cache keys on); nothing to acquire. Taking the
-  // parameter (rather than a bare flag) makes "I hold a snapshot" a
-  // compile-time claim at every call site.
-  return ExecuteUnderSnapshot(query, snapshot.epoch(), stats);
+  return Execute(query, snapshot, stats);
 }
 
 netmark::Result<std::shared_ptr<const QueryPlan>> QueryExecutor::GetPlan(
@@ -465,8 +458,12 @@ netmark::Result<std::vector<QueryHit>> QueryExecutor::RunPlan(
   return ContentOnly(plan.content_query, scoped, query.limit, stats);
 }
 
-netmark::Result<std::vector<QueryHit>> QueryExecutor::ExecuteUnderSnapshot(
-    const XdbQuery& query, uint64_t epoch, Stats* stats) const {
+netmark::Result<std::vector<QueryHit>> QueryExecutor::Execute(
+    const XdbQuery& query, const xmlstore::XmlStore::ReadSnapshot& snapshot,
+    Stats* stats) const {
+  // The caller's snapshot pins the view and supplies the commit epoch the
+  // result cache keys on.
+  const uint64_t epoch = snapshot.epoch();
   Stats local;
   observability::ScopedTimer timer(handles_.execute_micros);
   if (query.empty()) {

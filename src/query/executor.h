@@ -6,8 +6,8 @@
 // Content-only queries return whole documents; context queries (with or
 // without content) return sections.
 //
-// Two read-path accelerators hook in here (both optional, both shared
-// across executors over the same store):
+// Two read-path accelerators hook in here (both optional; query::ReadPath
+// owns one of each per store and wires them in):
 //   - QueryResultCache: memoizes whole hit lists keyed by canonical query
 //     string + commit epoch (docs/query_cache.md).
 //   - QueryPlanCache: memoizes parsed/compiled plans keyed by query shape,
@@ -115,8 +115,6 @@ class QueryExecutor {
       Stats* stats = nullptr) const;
 
  private:
-  netmark::Result<std::vector<QueryHit>> ExecuteUnderSnapshot(
-      const XdbQuery& query, uint64_t epoch, Stats* stats) const;
   /// Plan lookup/compile (the parse half of the split Execute).
   netmark::Result<std::shared_ptr<const QueryPlan>> GetPlan(
       const XdbQuery& query, Stats& stats) const;

@@ -33,9 +33,14 @@ netmark::Result<std::shared_ptr<const QueryPlan>> BuildQueryPlan(
           "XPath and Context keys cannot be combined (use Content to "
           "pre-select documents)");
     }
-    NETMARK_ASSIGN_OR_RETURN(xslt::XPath path, xslt::XPath::Parse(query.xpath));
+    // A malformed expression is the caller's error (HTTP 400), like any
+    // other bad query key.
+    auto path = xslt::XPath::Parse(query.xpath);
+    if (!path.ok()) {
+      return netmark::Status::InvalidArgument(path.status().message());
+    }
     plan->kind = QueryPlan::Kind::kXPath;
-    plan->xpath = std::make_shared<const xslt::XPath>(std::move(path));
+    plan->xpath = std::make_shared<const xslt::XPath>(std::move(*path));
     plan->content_query = textindex::ParseTextQuery(query.content);
     return std::shared_ptr<const QueryPlan>(std::move(plan));
   }
@@ -64,23 +69,10 @@ std::string QueryPlanShapeKey(const XdbQuery& query) {
   return key;
 }
 
-void QueryPlanCache::Configure(Options options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  options_ = options;
-  lru_.clear();
-  index_.clear();
-  if (handles_.entries != nullptr) handles_.entries->Set(0);
-}
-
-bool QueryPlanCache::enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return options_.enabled && options_.max_entries > 0;
-}
-
 std::shared_ptr<const QueryPlan> QueryPlanCache::Lookup(
     const std::string& shape_key) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!options_.enabled || options_.max_entries == 0) return nullptr;
+  if (options_.max_entries == 0) return nullptr;
   auto it = index_.find(shape_key);
   if (it == index_.end()) {
     ++miss_count_;
@@ -97,7 +89,7 @@ void QueryPlanCache::Insert(const std::string& shape_key,
                             std::shared_ptr<const QueryPlan> plan) {
   if (plan == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (!options_.enabled || options_.max_entries == 0) return;
+  if (options_.max_entries == 0) return;
   if (index_.find(shape_key) != index_.end()) return;  // racing build, keep
   lru_.push_front(Entry{shape_key, std::move(plan)});
   index_.emplace(lru_.front().key, lru_.begin());

@@ -52,8 +52,9 @@ struct QueryPlan {
   std::shared_ptr<const xslt::XPath> xpath;
 };
 
-/// \brief Compiles `query` into a plan. Fails on XPath syntax errors and on
-/// the Context+XPath combination (which has no execution strategy).
+/// \brief Compiles `query` into a plan. Fails with InvalidArgument on XPath
+/// syntax errors and on the Context+XPath combination (which has no
+/// execution strategy).
 netmark::Result<std::shared_ptr<const QueryPlan>> BuildQueryPlan(
     const XdbQuery& query);
 
@@ -68,17 +69,12 @@ std::string QueryPlanShapeKey(const XdbQuery& query);
 class QueryPlanCache {
  public:
   struct Options {
+    /// Maximum cached plans (`plan_entries`; 0 disables).
     size_t max_entries = 256;
-    bool enabled = true;
   };
 
   QueryPlanCache() = default;
   explicit QueryPlanCache(Options options) : options_(options) {}
-
-  /// Replaces the options and clears the cache (call before traffic).
-  void Configure(Options options);
-
-  bool enabled() const;
 
   std::shared_ptr<const QueryPlan> Lookup(const std::string& shape_key);
   void Insert(const std::string& shape_key,

@@ -24,8 +24,7 @@ size_t QueryResultCache::EntryBytes(const Entry& entry) {
 void QueryResultCache::Configure(ResultCacheOptions options) {
   std::lock_guard<std::mutex> lock(mu_);
   options_ = options;
-  enabled_.store(options.enabled && options.max_entries > 0 &&
-                     options.max_bytes > 0,
+  enabled_.store(options.max_entries > 0 && options.max_bytes > 0,
                  std::memory_order_relaxed);
   lru_.clear();
   index_.clear();
@@ -70,14 +69,6 @@ void QueryResultCache::Insert(std::string_view canonical_query, uint64_t epoch,
   index_.emplace(lru_.front().key, lru_.begin());
   ++insert_count_;
   EvictLocked();
-  PublishGaugesLocked();
-}
-
-void QueryResultCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
   PublishGaugesLocked();
 }
 

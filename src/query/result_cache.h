@@ -34,14 +34,13 @@
 
 namespace netmark::query {
 
-/// Result-cache sizing knobs (the `[query]` INI section).
+/// Result-cache sizing knobs (the `[query]` INI section). Either bound at 0
+/// disables the cache.
 struct ResultCacheOptions {
-  /// Maximum cached result lists (`cache_entries`; 0 disables).
+  /// Maximum cached result lists (`cache_entries`).
   size_t max_entries = 1024;
-  /// Maximum bytes across cached hits + keys (`cache_bytes`; 0 disables).
+  /// Maximum bytes across cached hits + keys (`cache_bytes`).
   size_t max_bytes = 8 * 1024 * 1024;
-  /// Master switch (`cache_enabled`).
-  bool enabled = true;
 };
 
 /// \brief LRU, byte-bounded cache of executed XDB results.
@@ -49,8 +48,9 @@ class QueryResultCache {
  public:
   using HitsPtr = std::shared_ptr<const std::vector<QueryHit>>;
 
-  explicit QueryResultCache(ResultCacheOptions options = ResultCacheOptions())
-      : options_(options) {}
+  explicit QueryResultCache(ResultCacheOptions options = ResultCacheOptions()) {
+    Configure(options);
+  }
 
   /// Replaces the sizing options and clears the cache. Call before traffic
   /// (or accept a cold cache mid-flight — correctness is unaffected).
@@ -66,9 +66,6 @@ class QueryResultCache {
   /// the byte bound are not cached; otherwise LRU entries are evicted until
   /// the entry and byte bounds hold.
   void Insert(std::string_view canonical_query, uint64_t epoch, HitsPtr hits);
-
-  /// Drops every entry (sizing options stay).
-  void Clear();
 
   /// Point-in-time statistics (counters are cumulative since construction).
   struct Snapshot {
@@ -104,9 +101,9 @@ class QueryResultCache {
 
   mutable std::mutex mu_;
   ResultCacheOptions options_;
-  /// Mirrors options_.enabled so the executor's fast-path check takes no
-  /// lock.
-  std::atomic<bool> enabled_{true};
+  /// Whether both bounds are non-zero, mirrored so the executor's fast-path
+  /// check takes no lock.
+  std::atomic<bool> enabled_{false};
   /// Most-recently-used first.
   std::list<Entry> lru_;
   std::map<std::string, std::list<Entry>::iterator, std::less<>> index_;

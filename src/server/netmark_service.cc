@@ -75,14 +75,14 @@ HttpResponse StorageErrorResponse(const netmark::Status& status) {
 
 }  // namespace
 
-NetmarkService::NetmarkService(xmlstore::XmlStore* store)
+NetmarkService::NetmarkService(xmlstore::XmlStore* store,
+                               query::ResultCacheOptions results,
+                               query::QueryPlanCache::Options plans)
     : store_(store),
-      executor_(store),
+      read_path_(store, results, plans),
       converters_(convert::ConverterRegistry::Default()),
       slow_query_ms_(observability::ResolveSlowQueryThresholdMs(
           observability::kDefaultSlowQueryMs)) {
-  executor_.set_result_cache(&result_cache_);
-  executor_.set_plan_cache(&plan_cache_);
   owned_metrics_ = std::make_unique<observability::MetricsRegistry>();
   metrics_ = owned_metrics_.get();
   BindHandles();
@@ -103,9 +103,7 @@ void NetmarkService::BindHandles() {
                              {{"version", std::string(netmark::BuildVersion())},
                               {"git_sha", std::string(netmark::BuildGitSha())}},
                              [] { return 1.0; });
-  executor_.BindMetrics(metrics_);
-  result_cache_.BindMetrics(metrics_);
-  plan_cache_.BindMetrics(metrics_);
+  read_path_.BindMetrics(metrics_);
   trace_store_.BindMetrics(metrics_);
 }
 
@@ -237,6 +235,9 @@ HttpResponse NetmarkService::HandleXdb(const HttpRequest& request) {
   observability::ScopedSpan root(trace.get(), "xdb");
   root.Annotate("query", request.query);
   if (remote_child) root.Annotate("caller_span", inbound->span_id);
+  // Layers below open their spans under the root: the read path's execute
+  // and compose, and the result-cache probe beneath execute.
+  observability::ThreadTraceScope thread_trace(trace.get(), root.id());
   // Synthetic spans for time already spent before this handler ran: the
   // accept-queue wait and HTTP parsing, measured by the server loop.
   if (trace != nullptr && request.queue_wait_micros > 0) {
@@ -286,39 +287,20 @@ HttpResponse NetmarkService::HandleXdb(const HttpRequest& request) {
     observability::ScopedSpan compose_span(trace.get(), "compose", root.id());
     results = ComposeFederatedResults(*query, *federated);
   } else {
-    observability::ScopedSpan exec_span(trace.get(), "execute", root.id());
-    // One snapshot spans execute + compose, so the hits and the section
-    // bodies composed from them come from the same committed state even
-    // with ingestion running concurrently.
-    xmlstore::XmlStore::ReadSnapshot snapshot = store_->BeginRead();
     query::QueryExecutor::Stats exec_stats;
-    netmark::Result<std::vector<query::QueryHit>> hits = [&] {
-      // Bind the trace to this thread so layers below the executor's API
-      // (result-cache probe, storage) can attach spans under "execute".
-      observability::ThreadTraceScope thread_trace(trace.get(), exec_span.id());
-      return executor_.Execute(*query, snapshot, &exec_stats);
-    }();
+    netmark::Result<xml::Document> composed = read_path_.Compose(*query, &exec_stats);
     // Tag the trace (and thereby any slow-query log line) with the cache
     // outcome, so a slow miss is attributable at a glance.
     root.Annotate("cache", exec_stats.cache_hits > 0 ? "hit" : "miss");
-    if (!hits.ok()) {
-      exec_span.End(false, hits.status().ToString());
-      root.End(false, hits.status().ToString());
-      if (hits.status().IsInvalidArgument()) {
-        return finish(HttpResponse::BadRequest(hits.status().ToString()));
-      }
-      return finish(StorageErrorResponse(hits.status()));
-    }
-    exec_span.Annotate("hits", std::to_string(hits->size()));
-    exec_span.End();
-    root.Annotate("hits", std::to_string(hits->size()));
-    observability::ScopedSpan compose_span(trace.get(), "compose", root.id());
-    auto composed = query::ComposeResults(*store_, *query, *hits);
     if (!composed.ok()) {
-      compose_span.End(false, composed.status().ToString());
       root.End(false, composed.status().ToString());
+      if (composed.status().IsInvalidArgument()) {
+        return finish(HttpResponse::BadRequest(composed.status().ToString()));
+      }
       return finish(StorageErrorResponse(composed.status()));
     }
+    root.Annotate("hits", std::string(composed->GetAttribute(
+                              composed->DocumentElement(), "count")));
     results = std::move(*composed);
   }
 
@@ -426,12 +408,12 @@ HttpResponse NetmarkService::HandleHealthz() {
       ",\"torn_tail\":" + (rec.torn_tail ? "true" : "false") +
       ",\"micros\":" + std::to_string(rec.micros) + "}}";
 
-  query::QueryResultCache::Snapshot cache = result_cache_.snapshot();
-  query::QueryPlanCache::Snapshot plans = plan_cache_.snapshot();
+  query::QueryResultCache::Snapshot cache = result_cache()->snapshot();
+  query::QueryPlanCache::Snapshot plans = plan_cache()->snapshot();
   char ratio[32];
   std::snprintf(ratio, sizeof(ratio), "%.4f", cache.hit_ratio);
   std::string cache_json =
-      std::string("{\"enabled\":") + (result_cache_.enabled() ? "true" : "false") +
+      std::string("{\"enabled\":") + (result_cache()->enabled() ? "true" : "false") +
       ",\"entries\":" + std::to_string(cache.entries) +
       ",\"bytes\":" + std::to_string(cache.bytes) +
       ",\"hits\":" + std::to_string(cache.hits) +

@@ -40,10 +40,7 @@
 #include "observability/slow_log.h"
 #include "observability/trace.h"
 #include "observability/trace_store.h"
-#include "query/compose.h"
-#include "query/executor.h"
-#include "query/plan.h"
-#include "query/result_cache.h"
+#include "query/read_path.h"
 #include "server/http_message.h"
 #include "xmlstore/xml_store.h"
 #include "xslt/stylesheet.h"
@@ -55,7 +52,11 @@ class IngestionDaemon;
 /// \brief Request router for one NETMARK instance.
 class NetmarkService {
  public:
-  explicit NetmarkService(xmlstore::XmlStore* store);
+  /// `results` / `plans` size the read path's caches (the `[query]` INI
+  /// section).
+  explicit NetmarkService(xmlstore::XmlStore* store,
+                          query::ResultCacheOptions results = {},
+                          query::QueryPlanCache::Options plans = {});
 
   /// Optional: enable `databank=` fan-out queries.
   void set_router(federation::Router* router) { router_ = router; }
@@ -64,7 +65,7 @@ class NetmarkService {
 
   /// Re-homes the service's metrics (request counters, latency histograms)
   /// onto `registry` — which is then also what GET /metrics renders. Must be
-  /// called before traffic. Also instruments the local query executor.
+  /// called before traffic. Also instruments the read path.
   void BindMetrics(observability::MetricsRegistry* registry);
   observability::MetricsRegistry* metrics() const { return metrics_; }
 
@@ -79,20 +80,13 @@ class NetmarkService {
   netmark::Status RegisterStylesheet(const std::string& name,
                                      std::string_view stylesheet_text);
 
-  /// The service-owned read-path caches (docs/query_cache.md). The facade
-  /// shares these with its ad-hoc executors and the self-registered
-  /// federation source; /healthz reports their state. The result cache is
-  /// bound to this service's store — never share it with another store.
-  query::QueryResultCache* result_cache() { return &result_cache_; }
-  query::QueryPlanCache* plan_cache() { return &plan_cache_; }
-
-  /// Applies the `[query]` INI knobs (cache_entries / cache_bytes /
-  /// cache_enabled). Clears both caches; call before traffic.
-  void ConfigureQueryCache(const query::ResultCacheOptions& results,
-                           const query::QueryPlanCache::Options& plans) {
-    result_cache_.Configure(results);
-    plan_cache_.Configure(plans);
-  }
+  /// The store's read path (docs/query_cache.md): `/xdb`, the facade's
+  /// Query* calls and the self-registered federation source all serve
+  /// through it, so they share its caches.
+  query::ReadPath* read_path() { return &read_path_; }
+  /// Its caches; /healthz reports their state.
+  query::QueryResultCache* result_cache() { return read_path_.result_cache(); }
+  query::QueryPlanCache* plan_cache() { return read_path_.plan_cache(); }
 
   /// Applies the `[observability]` INI knobs (trace_sample_rate,
   /// trace_store_capacity, trace_slow_keep_ms). Call before traffic.
@@ -111,8 +105,6 @@ class NetmarkService {
   /// (set_router, RegisterStylesheet, BindMetrics, ...) must still finish
   /// before traffic starts.
   HttpResponse Handle(const HttpRequest& request);
-
-  xmlstore::XmlStore* store() { return store_; }
 
  private:
   HttpResponse Dispatch(const HttpRequest& request);
@@ -137,10 +129,7 @@ class NetmarkService {
   observability::Counter* RouteCounter(const std::string& path) const;
 
   xmlstore::XmlStore* store_;
-  /// Declared before executor_ (which holds raw pointers into both).
-  query::QueryResultCache result_cache_;
-  query::QueryPlanCache plan_cache_;
-  query::QueryExecutor executor_;
+  query::ReadPath read_path_;
   convert::ConverterRegistry converters_;
   federation::Router* router_ = nullptr;
   IngestionDaemon* daemon_ = nullptr;

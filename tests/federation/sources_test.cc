@@ -69,7 +69,9 @@ TEST(LocalSourceTest, FullCapabilityExecution) {
   ASSERT_TRUE(hits.ok());
   ASSERT_EQ(hits->size(), 1u);
   EXPECT_EQ((*hits)[0].heading, "Budget");
-  EXPECT_NE((*hits)[0].markup.find("<h1>Budget</h1>"), std::string::npos);
+  // The markup is the section body, as /xdb composes it, not the heading.
+  EXPECT_EQ((*hits)[0].markup, "<p>amount 100</p>");
+  EXPECT_EQ((*hits)[0].text, "amount 100");
 }
 
 TEST(RemoteSourceTest, ParsesResultsDocuments) {

@@ -83,7 +83,7 @@ TEST(QueryPlanCacheTest, LookupInsertAndEviction) {
 
 TEST(QueryPlanCacheTest, DisabledCacheStoresNothing) {
   QueryPlanCache::Options options;
-  options.enabled = false;
+  options.max_entries = 0;
   QueryPlanCache cache(options);
   auto plan = BuildQueryPlan(Parse("context=A"));
   ASSERT_TRUE(plan.ok());

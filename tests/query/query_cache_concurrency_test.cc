@@ -135,8 +135,7 @@ TEST_F(QueryCacheConcurrencyTest, ConcurrentConfigureIsSafe) {
   });
   for (int i = 0; i < 50; ++i) {
     ResultCacheOptions options;
-    options.enabled = (i % 2 == 0);
-    options.max_entries = 16;
+    options.max_entries = (i % 2 == 0) ? 16 : 0;
     cache_.Configure(options);
   }
   done.store(true);

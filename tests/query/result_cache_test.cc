@@ -98,7 +98,7 @@ TEST(ResultCacheTest, ConfigureClearsAndCanDisable) {
   EXPECT_EQ(cache.snapshot().entries, 0u);
 
   ResultCacheOptions disabled;
-  disabled.enabled = false;
+  disabled.max_bytes = 0;
   cache.Configure(disabled);
   EXPECT_FALSE(cache.enabled());
 }
@@ -210,7 +210,7 @@ TEST_F(CachedExecutorTest, DeleteAlsoInvalidates) {
 
 TEST_F(CachedExecutorTest, DisabledCacheNeverHits) {
   ResultCacheOptions off;
-  off.enabled = false;
+  off.max_entries = 0;
   cache_.Configure(off);
   QueryExecutor::Stats a, b;
   (void)Run("context=Budget", &a);

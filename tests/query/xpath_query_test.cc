@@ -97,7 +97,17 @@ TEST_F(XPathQueryTest, BadXPathIsAnError) {
   QueryExecutor executor(store_.get());
   XdbQuery q;
   q.xpath = "//row[";
-  EXPECT_TRUE(executor.Execute(q).status().IsParseError());
+  EXPECT_TRUE(executor.Execute(q).status().IsInvalidArgument());
+}
+
+TEST_F(XPathQueryTest, DocScopeNamingNoDocumentIsEmpty) {
+  QueryExecutor executor(store_.get());
+  XdbQuery q;
+  q.xpath = "//row";
+  q.doc_id = 9999;
+  auto hits = executor.Execute(q);
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_TRUE(hits->empty());
 }
 
 TEST_F(XPathQueryTest, ComposedResultsEmbedFragments) {

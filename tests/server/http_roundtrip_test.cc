@@ -184,9 +184,8 @@ TEST_F(ServiceRoundTripTest, XPathQueriesOverHttp) {
   EXPECT_EQ(resp->status, 200);
   EXPECT_NE(resp->body.find("<cell name=\"amount\">100</cell>"), std::string::npos);
   EXPECT_NE(resp->body.find("<cell name=\"amount\">250</cell>"), std::string::npos);
-  // Bad XPath surfaces as a client error... (parse errors land in 500 from
-  // the executor; accept either as long as it is an error).
-  EXPECT_NE(client_->Get("/xdb?xpath=%5B%5B")->status, 200);
+  // Bad XPath is the client's error.
+  EXPECT_EQ(client_->Get("/xdb?xpath=%5B%5B")->status, 400);
 }
 
 TEST_F(ServiceRoundTripTest, StatusEndpoint) {

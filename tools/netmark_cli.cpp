@@ -177,11 +177,6 @@ Status ApplyQueryFlags(const Args& args, NetmarkOptions* options) {
   auto config_flag = args.flags.find("config");
   if (config_flag == args.flags.end()) return Status::OK();
   NETMARK_ASSIGN_OR_RETURN(Config config, Config::Load(config_flag->second));
-  auto enabled = config.Get("query", "cache_enabled");
-  if (enabled.ok()) {
-    options->query_cache.enabled =
-        (*enabled != "off" && *enabled != "false" && *enabled != "0");
-  }
   options->query_cache.max_entries = static_cast<size_t>(config.GetIntOr(
       "query", "cache_entries",
       static_cast<int64_t>(options->query_cache.max_entries)));
@@ -191,7 +186,12 @@ Status ApplyQueryFlags(const Args& args, NetmarkOptions* options) {
   options->plan_cache.max_entries = static_cast<size_t>(config.GetIntOr(
       "query", "plan_entries",
       static_cast<int64_t>(options->plan_cache.max_entries)));
-  options->plan_cache.enabled = options->query_cache.enabled;
+  // cache_enabled = off means 0 entries for both caches.
+  auto enabled = config.Get("query", "cache_enabled");
+  if (enabled.ok() && (*enabled == "off" || *enabled == "false" || *enabled == "0")) {
+    options->query_cache.max_entries = 0;
+    options->plan_cache.max_entries = 0;
+  }
   return Status::OK();
 }
 
